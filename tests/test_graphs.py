@@ -221,3 +221,22 @@ def test_directed_graph_array_construction():
     assert g.hop_dist_to(2)[0] == 2.0
     assert g.shortest_path(0, 2) == (2.0, [0, 1, 2])
     assert g.shortest_path(2, 0) == (float("inf"), None)
+
+
+def test_directed_shortest_path_independent_of_cached_tables():
+    # two copies of one gadget must give the same s-t path whether or not
+    # the distance table from s was computed first
+    from lipgraph.harness import gen_instance
+    from lipgraph.lip_sp import build_gadget
+    from lipgraph.rng import RandomStream
+
+    differ = 0
+    for gseed in range(48):
+        gi = gen_instance("random-gnm", {"n": 5, "m": 6, "w_min": 1, "w_max": 2}, gseed)
+        for k in range(5):
+            gadget = build_gadget(gi.graph, gi.weights, 0, 4, 0.25, RandomStream(k))
+            fresh = gadget.graph
+            warm = DirectedGraph(fresh.n, fresh.arcs)
+            warm.hop_dist_from(0)
+            differ += fresh.shortest_path(0, 4) != warm.shortest_path(0, 4)
+    assert differ == 0
