@@ -13,8 +13,6 @@ from .bmatch import (
 from .contraction_sp import (
     RecParams,
     RecTrace,
-    di_rec,
-    di_sp,
     is_active,
     opt_through,
     opt_through_edge,
@@ -68,6 +66,7 @@ from .harness import (
 )
 from .lip_sp import (
     GadgetGraph,
+    ImplicitGadget,
     build_gadget,
     build_gadget_from,
     lip_sp,

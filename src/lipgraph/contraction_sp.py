@@ -1,5 +1,6 @@
 """Recursive shortest-path algorithm whose output distribution is stable
-against edge contraction, plus its directed variant and diagnostics.
+against edge contraction, on undirected and directed graphs, plus
+diagnostics.
 
 The recursion picks a pivot vertex uniformly from the set of vertices lying
 near the middle of near-optimal s-t paths, solves the two subproblems, and
@@ -68,7 +69,14 @@ class RecTrace:
         return max((c.depth for c in self.calls), default=0)
 
 
-class _UndirectedView:
+class _TableView:
+    """Pivot candidates from explicit per-vertex distance tables."""
+
+    def pivots(self, ds, dt, hi_s, hi_t) -> list:
+        return [v for v in range(self.n) if ds[v] <= hi_s and dt[v] <= hi_t]
+
+
+class _UndirectedView(_TableView):
     def __init__(self, g: WeightedMultigraph):
         self.g = g
         self.n = g.n
@@ -83,7 +91,7 @@ class _UndirectedView:
         return bfs_walk(self.g, s, t)
 
 
-class _DirectedView:
+class _DirectedView(_TableView):
     def __init__(self, g: DirectedGraph):
         self.g = g
         self.n = g.n
@@ -103,7 +111,18 @@ class _DirectedView:
 
 
 def _view(g):
-    return _DirectedView(g) if isinstance(g, DirectedGraph) else _UndirectedView(g)
+    """The view the recursion drives; objects that are views pass through.
+
+    A view has ``n``, ``dist_from(s)`` and ``dist_to(t)`` (tables indexable
+    by vertex), ``base_walk(s, t)`` (a shortest walk under one fixed
+    tie-break rule, or None) and ``pivots(ds, dt, hi_s, hi_t)`` (the
+    vertices within both bounds in ascending id order, as a sequence).
+    """
+    if isinstance(g, DirectedGraph):
+        return _DirectedView(g)
+    if isinstance(g, WeightedMultigraph):
+        return _UndirectedView(g)
+    return g
 
 
 def pivot_set(g, s: int, t: int, d: float, l: float) -> list:
@@ -117,9 +136,7 @@ def pivot_set(g, s: int, t: int, d: float, l: float) -> list:
     opt = ds[t]
     if opt == _INF:
         raise Unreachable(f"{t} unreachable from {s}")
-    hi_s = (d + l) * opt
-    hi_t = (1.0 - d + l) * opt
-    return [v for v in range(view.n) if ds[v] <= hi_s and dt[v] <= hi_t]
+    return view.pivots(ds, dt, (d + l) * opt, (1.0 - d + l) * opt)
 
 
 def sample_pivot(g, s: int, t: int, d: float, l: float, rng, *key) -> int:
@@ -140,12 +157,13 @@ def _rec(view, s, t, gamma, rng, key, depth, trace):
     d = rng.uniform(0.25 + 2.0 * gamma, 0.75 - 2.0 * gamma, *key, "d")
     l = rng.uniform(gamma, 2.0 * gamma, *key, "l")
     if (view.n - 1) * gamma <= 1.0:
-        # any finite distance is at most n-1 <= 1/gamma: base case, no table
+        # any finite distance is at most n-1 <= 1/gamma: base case
         walk = view.base_walk(s, t)
         if walk is None:
             raise Unreachable(f"{t} unreachable from {s}")
         if trace is not None:
-            trace.calls.append(RecCall(key, s, t, float(len(walk)), d, l, depth, True))
+            opt = view.dist_from(s)[t]  # cached by the base walk
+            trace.calls.append(RecCall(key, s, t, float(opt), d, l, depth, True))
         return walk
     ds = view.dist_from(s)
     opt = ds[t]
@@ -156,11 +174,8 @@ def _rec(view, s, t, gamma, rng, key, depth, trace):
         if trace is not None:
             trace.calls.append(RecCall(key, s, t, float(opt), d, l, depth, True))
         return walk
-    dt = view.dist_to(t)
-    hi_s = (d + l) * opt
-    hi_t = (1.0 - d + l) * opt
-    candidates = [v for v in range(view.n) if ds[v] <= hi_s and dt[v] <= hi_t]
-    if not candidates:
+    candidates = view.pivots(ds, view.dist_to(t), (d + l) * opt, (1.0 - d + l) * opt)
+    if not len(candidates):
         raise LipgraphError("empty pivot set; distances inconsistent")
     pivot = candidates[rng.randint(len(candidates), *key, "pivot")]
     if trace is not None:
@@ -191,7 +206,8 @@ def sp(
     gamma_override: float | None = None,
     trace: RecTrace | None = None,
 ) -> Walk:
-    """(1+epsilon)-approximate shortest walk, undirected or directed input.
+    """(1+epsilon)-approximate shortest walk on an undirected or directed
+    graph, or on a view of one (see :func:`_view`).
 
     Samples 1/gamma uniformly from [720 log n / eps, 1440 log n / eps] and
     delegates to the recursion.  ``gamma_override`` replaces the sampled
@@ -209,16 +225,6 @@ def sp(
         lo = 720.0 * math.log(view.n) / epsilon
         gamma = 1.0 / rng.uniform(lo, 2.0 * lo, "sp", "gamma")
     return _rec(view, s, t, gamma, rng, ("rec",), 0, trace)
-
-
-def di_rec(g: DirectedGraph, s, t, gamma, rng, *, override=False, trace=None) -> Walk:
-    """Directed counterpart of :func:`rec`."""
-    return rec(g, s, t, gamma, rng, override=override, trace=trace)
-
-
-def di_sp(g: DirectedGraph, s, t, epsilon, rng, *, gamma_override=None, trace=None) -> Walk:
-    """Directed counterpart of :func:`sp`."""
-    return sp(g, s, t, epsilon, rng, gamma_override=gamma_override, trace=trace)
 
 
 def opt_through(g, s: int, t: int, v: int) -> float:

@@ -204,15 +204,27 @@ class DirectedGraph:
         return cache
 
     def bfs_from(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (distance, predecessor) BFS tables from s."""
+        """Cached hop distances from s and canonical predecessor arcs.
+
+        ``pred[v]`` is the lowest-id arc (a, v) with dist(a) = dist(v) - 1,
+        or -1 at s and at unreachable vertices.  Shortest paths follow this
+        one rule, so they depend on the graph alone, not on which tables
+        were computed first.
+        """
         cache = self._dist_cache()
         key = ("from", s)
         if key not in cache:
             from scipy.sparse.csgraph import dijkstra
 
-            cache[key] = dijkstra(
-                self._csr, unweighted=True, indices=s, return_predecessors=True
-            )
+            dist = dijkstra(self._csr, unweighted=True, indices=s)
+            tails, heads = self._arc_arrays
+            dh = dist[heads]
+            tight = np.flatnonzero(np.isfinite(dh) & (dist[tails] == dh - 1.0))
+            # arc ids ascend, so the first occurrence per head is the lowest id
+            vs, first = np.unique(heads[tight], return_index=True)
+            pred = np.full(self.n, -1, dtype=np.int64)
+            pred[vs] = tight[first]
+            cache[key] = (dist, pred)
         return cache[key]
 
     def hop_dist_from(self, s: int) -> np.ndarray:
@@ -241,27 +253,19 @@ class DirectedGraph:
         return keys[order], order
 
     def shortest_path(self, s: int, t: int):
-        """(hop count, vertex path list) or (inf, None) when unreachable."""
-        cache = self._dist_cache()
-        key = ("bfo", s)
-        pred = cache.get(key)
-        if pred is None:
-            if ("from", s) in cache:
-                pred = cache[("from", s)][1].tolist()
-            else:
-                from scipy.sparse.csgraph import breadth_first_order
+        """(hop count, vertex path list) or (inf, None) when unreachable.
 
-                _, pred_arr = breadth_first_order(
-                    self._csr, s, directed=True, return_predecessors=True
-                )
-                pred = pred_arr.tolist()
-            cache[key] = pred
-        if t != s and pred[t] < 0:
+        Walks back from t along the canonical predecessor arcs of
+        :meth:`bfs_from`.
+        """
+        dist, pred = self.bfs_from(s)
+        if dist[t] == _INF:
             return _INF, None
+        tails = self._arc_arrays[0]
         path = [t]
         v = t
         while v != s:
-            v = pred[v]
+            v = int(tails[pred[v]])
             path.append(v)
         path.reverse()
         return float(len(path) - 1), path

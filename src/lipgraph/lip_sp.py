@@ -2,29 +2,45 @@
 
 Each weighted edge is rounded to an integer length (two or three plus the
 floor of weight over a sampled discretization step b) and replaced by two
-oppositely oriented directed paths of that many arcs.  The contraction-
-stable directed walk routine then runs on the gadget, and its output maps
-back to a weighted walk: a walk entering one end of a gadget path must
-leave from the other end, so maximal runs of gadget arcs correspond to
-whole edge traversals.
+oppositely oriented directed paths (chains) of that many arcs.  The
+contraction-stable directed walk routine then runs on the gadget, and its
+output maps back to a weighted walk: a walk entering one end of a chain
+must leave from the other end, so maximal runs of gadget arcs correspond
+to whole edge traversals.
 
 Rounding up by at least two keeps every interior gadget arc contractible,
 which is what ties a small weight decrease to a single arc contraction.
+
+``lip_sp`` and ``coupled_lip_sp`` never build the gadget, whose size is
+about n/eps times the input's.  Gadget hop distances are weighted distances
+on the original graph under the rounded lengths, so :class:`ImplicitGadget`
+answers the walk routine's distance, pivot and base-walk queries from
+Dijkstra over the rounded lengths, under the explicit gadget's vertex ids
+and tie-break rule.  ``build_gadget_from`` and ``lip_sp_run`` build the
+gadget explicitly; they are the reference the implicit one is tested
+against, and back the CLI's ``--emit-gadget``.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .contraction_sp import di_sp
+from .contraction_sp import sp
 from .coupling import max_overlap_uniform_pair, shift_wrap
-from .errors import BadParams, MalformedWalk, Unreachable
+from .errors import BadParams, LipgraphError, MalformedWalk, Unreachable
 from .exact import dijkstra
 from .graphs import DirectedGraph, Walk, WeightedMultigraph, check_weights
 from .rng import RandomStream
+
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -173,9 +189,15 @@ def build_gadget(
         raise Unreachable(f"{t} unreachable from {s}")
     if opt <= 0:
         raise BadParams("gadget construction needs a positive s-t optimum")
+    b, x = _sample_draws(g, epsilon, opt, rng)
+    return build_gadget_from(g, w, epsilon, b, x)
+
+
+def _sample_draws(g: WeightedMultigraph, epsilon: float, opt: float, rng: RandomStream):
+    """The keyed draws (b, x) of one run at s-t optimum opt."""
     b = rng.uniform(epsilon * opt / (12.0 * g.n), epsilon * opt / (6.0 * g.n), "lipsp", "b")
     x = np.array([rng.random("lipsp", "x", e) for e in range(g.m)])
-    return build_gadget_from(g, w, epsilon, b, x)
+    return b, x
 
 
 def map_walk_back(gadget: GadgetGraph, hat_walk: Walk) -> Walk:
@@ -206,6 +228,226 @@ def map_walk_back(gadget: GadgetGraph, hat_walk: Walk) -> Walk:
             raise MalformedWalk(f"run over edge {e} is not a whole chain traversal")
         steps.append((e, 1 if direction[a] > 0 else -1))
     return Walk(hat_walk.source, hat_walk.target, tuple(steps))
+
+
+def _dijkstra(adj: list, source: int, start: int) -> list:
+    """Hop distances over chain adjacency lists, starting at ``start`` hops."""
+    dist = [_INF] * len(adj)
+    dist[source] = start
+    heap = [(start, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, k, _ in adj[u]:
+            nd = d + k
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+class _ChainTable:
+    """Gadget hop distances from (``forward``) or to one gadget vertex.
+
+    ``orig`` covers the original vertices.  Position q of chain c lies
+    orig[first c] + q hops from the source and k_c - q + orig[last c] hops
+    before the target, except on the chain holding an interior endpoint at
+    position ``pos``: the source reaches positions q >= pos in q - pos hops,
+    and positions q <= pos reach the target in pos - q hops.
+    """
+
+    __slots__ = ("gadget", "orig", "forward", "chain", "pos")
+
+    def __init__(self, gadget, orig, forward, chain, pos):
+        self.gadget = gadget
+        self.orig = orig
+        self.forward = forward
+        self.chain = chain  # -1 when the endpoint is an original vertex
+        self.pos = pos
+
+    def __getitem__(self, v):
+        if v < self.gadget.n_original:
+            return self.orig[v]
+        return self.at(*self.gadget.locate(v))
+
+    def at(self, c: int, q: int):
+        gd = self.gadget
+        if self.forward:
+            if c == self.chain and q >= self.pos:
+                return q - self.pos
+            return self.orig[gd.first[c]] + q
+        if c == self.chain and q <= self.pos:
+            return self.pos - q
+        return gd.length[c] - q + self.orig[gd.last[c]]
+
+    def runs(self, c: int) -> tuple:
+        """(lo, hi, a) runs covering positions 1..k-1 of chain c, on each of
+        which the distance is a + q (from) or a - q (to)."""
+        gd = self.gadget
+        k = gd.length[c]
+        if self.forward:
+            a = self.orig[gd.first[c]]
+            if c != self.chain:
+                return ((1, k - 1, a),)
+            return ((1, self.pos - 1, a), (self.pos, k - 1, -self.pos))
+        a = k + self.orig[gd.last[c]]
+        if c != self.chain:
+            return ((1, k - 1, a),)
+        return ((1, self.pos, self.pos), (self.pos + 1, k - 1, a))
+
+
+class _Candidates:
+    """Pivot candidates in gadget id order without listing them: the
+    original vertices that qualify, then runs of consecutive interior ids."""
+
+    def __init__(self, originals: list, starts: list, counts: list):
+        self.originals = originals
+        self.starts = starts
+        self.ends = list(accumulate(counts))
+
+    def __len__(self) -> int:
+        return len(self.originals) + (self.ends[-1] if self.ends else 0)
+
+    def __getitem__(self, r: int) -> int:
+        if r < len(self.originals):
+            return self.originals[r]
+        r -= len(self.originals)
+        i = bisect_right(self.ends, r)
+        return self.starts[i] + r - (self.ends[i - 1] if i else 0)
+
+
+class ImplicitGadget:
+    """The gadget of :func:`build_gadget_from`, answered without building it.
+
+    A view for the walk routine of :mod:`lipgraph.contraction_sp`.  Vertex
+    ids follow build_gadget_from's layout: original vertices first, then
+    the interior vertices chain by chain (forward chain, then backward
+    chain, per included edge in ascending id), position q of chain c
+    having id ``base[c] + q - 1``.  Pivot sets therefore enumerate in the
+    explicit order and the keyed pivot draw picks the same vertex.  Base
+    walks follow the explicit rule (lowest-id tight in-arc, which on an
+    original vertex is the last arc of the lowest tight chain) and are
+    sequences of chain segments (chain, from position, to position);
+    :meth:`edge_walk` merges them into original-edge steps.  Memory is
+    O(n + m), independent of the gadget's vertex count ``n``.
+    """
+
+    def __init__(self, g: WeightedMultigraph, hat, cap: float):
+        self.n_original = g.n
+        self.first, self.last, self.length = [], [], []
+        self.edge, self.direction, self.base = [], [], []
+        self._out = [[] for _ in range(g.n)]  # (last, length, chain) per first vertex
+        self._in = [[] for _ in range(g.n)]  # (first, length, chain) per last vertex
+        n_vertices = g.n
+        for e, (u, v), k in zip(range(g.m), g.edges, hat.tolist()):
+            if u == v or k > cap:
+                continue
+            for a, z, sign in ((u, v, 1), (v, u, -1)):
+                c = len(self.first)
+                self.first.append(a)
+                self.last.append(z)
+                self.length.append(k)
+                self.edge.append(e)
+                self.direction.append(sign)
+                self.base.append(n_vertices)
+                n_vertices += k - 1
+                self._out[a].append((z, k, c))
+                self._in[z].append((a, k, c))
+        self.n = n_vertices
+        self._from = {}
+        self._to = {}
+
+    def locate(self, v: int) -> tuple[int, int]:
+        """(chain, position) of an interior gadget vertex."""
+        c = bisect_right(self.base, v) - 1
+        return c, v - self.base[c] + 1
+
+    def dist_from(self, s: int) -> _ChainTable:
+        table = self._from.get(s)
+        if table is None:
+            if s < self.n_original:
+                table = _ChainTable(self, _dijkstra(self._out, s, 0), True, -1, 0)
+            else:
+                c, p = self.locate(s)
+                orig = _dijkstra(self._out, self.last[c], self.length[c] - p)
+                table = _ChainTable(self, orig, True, c, p)
+            self._from[s] = table
+        return table
+
+    def dist_to(self, t: int) -> _ChainTable:
+        table = self._to.get(t)
+        if table is None:
+            if t < self.n_original:
+                table = _ChainTable(self, _dijkstra(self._in, t, 0), False, -1, 0)
+            else:
+                c, p = self.locate(t)
+                table = _ChainTable(self, _dijkstra(self._in, self.first[c], p), False, c, p)
+            self._to[t] = table
+        return table
+
+    def pivots(self, ds: _ChainTable, dt: _ChainTable, hi_s: float, hi_t: float) -> _Candidates:
+        # distances are integers: d <= hi exactly when d <= floor(hi)
+        fs, ft = math.floor(hi_s), math.floor(hi_t)
+        originals = [
+            v for v in range(self.n_original) if ds.orig[v] <= fs and dt.orig[v] <= ft
+        ]
+        starts, counts = [], []
+        for c in range(len(self.first)):
+            for lo_s, hi_s_, a in ds.runs(c):
+                for lo_t, hi_t_, b in dt.runs(c):
+                    lo = max(lo_s, lo_t, b - ft)
+                    hi = min(hi_s_, hi_t_, fs - a)
+                    if hi >= lo:
+                        starts.append(self.base[c] + lo - 1)
+                        counts.append(hi - lo + 1)
+        return _Candidates(originals, starts, counts)
+
+    def base_walk(self, s: int, t: int) -> Walk | None:
+        ds = self.dist_from(s)
+        if ds[t] == _INF:
+            return None
+        segments = []
+        v = t
+        if v >= self.n_original:
+            c, q = self.locate(v)
+            if c == ds.chain and q >= ds.pos:
+                return Walk(s, t, ((c, ds.pos, q),))
+            segments.append((c, 0, q))
+            v = self.first[c]
+        while v != s:
+            want = ds.orig[v] - 1
+            for a, k, c in self._in[v]:
+                if ds.at(c, k - 1) == want:
+                    break
+            else:
+                raise LipgraphError(f"no tight chain into gadget vertex {v}")
+            if c == ds.chain:
+                segments.append((c, ds.pos, k))
+                break
+            segments.append((c, 0, k))
+            v = a
+        segments.reverse()
+        return Walk(s, t, tuple(segments))
+
+    def edge_walk(self, walk: Walk) -> Walk:
+        """Merge a walk's chain segments into whole chain traversals and
+        return them as original-edge steps."""
+        runs = []
+        for c, a, z in walk.steps:
+            if runs and runs[-1][0] == c and runs[-1][2] == a:
+                runs[-1][2] = z
+            else:
+                runs.append([c, a, z])
+        steps = []
+        for c, a, z in runs:
+            if a != 0 or z != self.length[c]:
+                raise MalformedWalk(
+                    f"run over edge {self.edge[c]} covers positions {a}..{z}, "
+                    f"chain length is {self.length[c]}"
+                )
+            steps.append((self.edge[c], self.direction[c]))
+        return Walk(walk.source, walk.target, tuple(steps))
 
 
 def _zero_weight_walk(g: WeightedMultigraph, w, s: int, t: int) -> Walk:
@@ -244,31 +486,54 @@ class LipSpResult:
     zero_optimum: bool = False
 
 
+def _optimum(g: WeightedMultigraph, w, s: int, t: int) -> float:
+    opt = dijkstra(g, w, s)[0][t]
+    if opt == _INF:
+        raise Unreachable(f"{t} unreachable from {s}")
+    return opt
+
+
 def lip_sp_run(
     g: WeightedMultigraph, w, s: int, t: int, epsilon: float, rng: RandomStream
 ) -> LipSpResult:
-    """Full run keeping the gadget and intermediate walk for inspection."""
+    """Explicit reference run: builds the gadget and keeps it and the gadget
+    walk for inspection.  Its walk equals :func:`lip_sp`'s."""
     if not (0 < epsilon < 1):
         raise BadParams("epsilon must lie in (0, 1)")
     w = check_weights(g, w)
     if s == t:
         return LipSpResult(Walk(s, t, ()), None, None)
-    dist = dijkstra(g, w, s)[0]
-    opt = dist[t]
-    if opt == float("inf"):
-        raise Unreachable(f"{t} unreachable from {s}")
+    opt = _optimum(g, w, s, t)
     if opt == 0.0:
         return LipSpResult(_zero_weight_walk(g, w, s, t), None, None, zero_optimum=True)
     gadget = build_gadget(g, w, s, t, epsilon, rng, opt=opt)
-    hat_walk = di_sp(gadget.graph, s, t, epsilon / 4.0, rng)
+    hat_walk = sp(gadget.graph, s, t, epsilon / 4.0, rng)
     return LipSpResult(map_walk_back(gadget, hat_walk), gadget, hat_walk)
+
+
+def _gadget_walk(g: WeightedMultigraph, hat, s: int, t: int, epsilon: float, rng) -> Walk:
+    gadget = ImplicitGadget(g, hat, inclusion_cap(g.n, epsilon))
+    return gadget.edge_walk(sp(gadget, s, t, epsilon / 4.0, rng))
 
 
 def lip_sp(
     g: WeightedMultigraph, w, s: int, t: int, epsilon: float, rng: RandomStream
 ) -> Walk:
-    """(1+epsilon)-approximate weighted s-t walk (per sample, every seed)."""
-    return lip_sp_run(g, w, s, t, epsilon, rng).walk
+    """(1+epsilon)-approximate weighted s-t walk (per sample, every seed).
+
+    Runs on the implicit gadget; the walk equals :func:`lip_sp_run`'s.
+    """
+    if not (0 < epsilon < 1):
+        raise BadParams("epsilon must lie in (0, 1)")
+    w = check_weights(g, w)
+    if s == t:
+        return Walk(s, t, ())
+    opt = _optimum(g, w, s, t)
+    if opt == 0.0:
+        return _zero_weight_walk(g, w, s, t)
+    b, x = _sample_draws(g, epsilon, opt, rng)
+    _, hat = rounded_lengths(w, b, x)
+    return _gadget_walk(g, hat, s, t, epsilon, rng)
 
 
 @dataclass(frozen=True)
@@ -343,11 +608,7 @@ def coupled_lip_sp(
     so all pivot and gamma draws are shared positionally.
     """
     cr = coupled_rounding_st(g, w, s, t, f, delta, epsilon, rng)
-    w2 = check_weights(g, w).copy()
-    w2[f] += delta
-    walks = []
-    for weights, b, x in ((w, cr.b1, cr.x1), (w2, cr.b2, cr.x2)):
-        gadget = build_gadget_from(g, weights, epsilon, b, x)
-        hat_walk = di_sp(gadget.graph, s, t, epsilon / 4.0, rng)
-        walks.append(map_walk_back(gadget, hat_walk))
-    return walks[0], walks[1]
+    return (
+        _gadget_walk(g, cr.hat1, s, t, epsilon, rng),
+        _gadget_walk(g, cr.hat2, s, t, epsilon, rng),
+    )

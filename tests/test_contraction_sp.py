@@ -10,7 +10,6 @@ from lipgraph.contraction_sp import (
     sample_pivot,
     RecParams,
     RecTrace,
-    di_sp,
     is_active,
     opt_through,
     opt_through_edge,
@@ -231,7 +230,7 @@ def test_detour_edge_contraction_leaves_walks_unchanged():
 
 def test_di_sp_directed_path_exact():
     g = DirectedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    walk = di_sp(g, 0, 4, 0.5, RandomStream(1))
+    walk = sp(g, 0, 4, 0.5, RandomStream(1))
     walk.validate(g)
     assert len(walk) == 4
 
@@ -241,11 +240,11 @@ def test_di_sp_picks_shorter_branch():
     arcs += [(0, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 13)]
     g = DirectedGraph(14, arcs)
     for seed in range(30):
-        walk = di_sp(g, 0, 10, 0.5, RandomStream(seed))
+        walk = sp(g, 0, 10, 0.5, RandomStream(seed))
         assert len(walk) == 5
 
 
 def test_di_sp_respects_direction():
     g = DirectedGraph(3, [(0, 1), (1, 2)])
     with pytest.raises(Unreachable):
-        di_sp(g, 2, 0, 0.5, RandomStream(0))
+        sp(g, 2, 0, 0.5, RandomStream(0))

@@ -240,3 +240,10 @@ def test_directed_shortest_path_independent_of_cached_tables():
             warm.hop_dist_from(0)
             differ += fresh.shortest_path(0, 4) != warm.shortest_path(0, 4)
     assert differ == 0
+
+
+def test_directed_shortest_path_takes_lowest_tight_arc():
+    # both arcs into 3 are tight; arc 2 (from 1) has the lower id
+    g = DirectedGraph(4, [(0, 2), (0, 1), (1, 3), (2, 3)])
+    assert g.shortest_path(0, 3) == (2.0, [0, 1, 3])
+    assert g.bfs_from(0)[1].tolist() == [-1, 1, 0, 2]

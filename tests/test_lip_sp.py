@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from lipgraph.contraction_sp import RecTrace, sp
 from lipgraph.errors import BadParams, MalformedWalk, Unreachable
 from lipgraph.exact import dijkstra
 from lipgraph.graphs import Walk, WeightedMultigraph, contract_directed
 from lipgraph.harness import gen_instance
 from lipgraph.lip_sp import (
+    ImplicitGadget,
     build_gadget,
+    build_gadget_from,
     coupled_lip_sp,
     coupled_rounding_st,
     inclusion_cap,
@@ -241,3 +244,125 @@ def test_coupled_lip_sp_walks_valid_and_close():
         w2.validate(g)
         same += w1.multiset == w2.multiset
     assert same >= 190  # tiny perturbation rarely changes the walk
+
+
+# --- implicit gadget against the explicit reference ---------------------------
+
+
+def _gadget_pair(g, w, s, t, eps, stream):
+    """Explicit and implicit gadget at the draws lip_sp takes from stream."""
+    gadget = build_gadget(g, w, s, t, eps, stream)
+    b = gadget.b
+    x = np.array([r.x for r in gadget.records])
+    _, hat = rounded_lengths(w, b, x)
+    implicit = ImplicitGadget(g, hat, inclusion_cap(g.n, eps))
+    assert implicit.n == gadget.graph.n
+    return gadget, implicit
+
+
+def _arc_ids(gadget, implicit, walk):
+    """Gadget arc ids of an implicit walk's chain segments."""
+    ids = []
+    for c, a, z in walk.steps:
+        rec_ = gadget.records[implicit.edge[c]]
+        start = (rec_.forward_arcs if implicit.direction[c] > 0 else rec_.backward_arcs)[0]
+        ids.extend(range(start + a, start + z))
+    return ids
+
+
+def _far_pair(gi):
+    dist = dijkstra(gi.graph, gi.weights, 0)[0]
+    return 0, int(np.argmax(dist))
+
+
+def test_implicit_matches_explicit_on_small_graphs():
+    # the criterion-06 instance family: n = 4-5, m = n+1, weights in [1, 2]
+    for gidx in range(20):
+        n = 4 + gidx % 2
+        gi = gen_instance("random-gnm", {"n": n, "m": n + 1, "w_min": 1, "w_max": 2}, 7000 + gidx)
+        s, t = _far_pair(gi)
+        for eps in (0.25, 0.5):
+            for seed in range(20):
+                stream = RandomStream(seed).sub(gidx)
+                assert lip_sp(gi.graph, gi.weights, s, t, eps, stream) == lip_sp_run(
+                    gi.graph, gi.weights, s, t, eps, stream
+                ).walk
+
+
+def test_implicit_matches_explicit_on_n50_graphs():
+    for gseed in range(3):
+        gi = gen_instance("random-gnm", {"n": 50, "m": 150, "w_min": 1, "w_max": 9}, gseed)
+        s, t = _far_pair(gi)
+        for seed in range(2):
+            stream = RandomStream(seed)
+            walk = lip_sp(gi.graph, gi.weights, s, t, 0.25, stream)
+            assert walk == lip_sp_run(gi.graph, gi.weights, s, t, 0.25, stream).walk
+
+
+def _trace_rows(trace):
+    return [(c.path, c.source, c.target, c.opt, c.depth, c.base_case, c.pivot) for c in trace.calls]
+
+
+def test_implicit_matches_explicit_in_recursion_regime():
+    eps = 0.5
+    deep = 0
+    for gseed in range(8):
+        n = 5 + gseed % 4
+        gi = gen_instance("random-gnm", {"n": n, "m": n + 3, "w_min": 1, "w_max": 3}, gseed)
+        g, w = gi.graph, gi.weights
+        s, t = _far_pair(gi)
+        for seed in range(6):
+            gadget, implicit = _gadget_pair(g, w, s, t, eps, RandomStream(seed))
+            assert gadget.graph.hop_dist_from(s)[t] >= 60  # far above 1/gamma = 10
+            traces = RecTrace(), RecTrace()
+            explicit = sp(gadget.graph, s, t, eps / 4, RandomStream(seed), gamma_override=0.1, trace=traces[0])
+            walk = sp(implicit, s, t, eps / 4, RandomStream(seed), gamma_override=0.1, trace=traces[1])
+            assert _arc_ids(gadget, implicit, walk) == [a for a, _ in explicit.steps]
+            assert implicit.edge_walk(walk) == map_walk_back(gadget, explicit)
+            assert _trace_rows(traces[1]) == _trace_rows(traces[0])
+            assert traces[0].max_depth >= 3
+            deep += any(c.pivot >= g.n for c in traces[0].calls)
+    assert deep  # some pivots are chain-interior vertices
+
+
+def test_implicit_coupled_pairs_match_explicit():
+    gi = gen_instance("random-gnm", {"n": 5, "m": 7, "w_min": 1, "w_max": 2}, 4)
+    g, w = gi.graph, gi.weights
+    eps = 0.5
+    delta = 0.5 * eps * dijkstra(g, w, 0)[0][4] / (12 * g.n)
+    w2 = w.copy()
+    w2[1] += delta
+    for seed in range(40):
+        stream = RandomStream(seed)
+        cr = coupled_rounding_st(g, w, 0, 4, 1, delta, eps, stream)
+        expected = []
+        for weights, b, x in ((w, cr.b1, cr.x1), (w2, cr.b2, cr.x2)):
+            gadget = build_gadget_from(g, weights, eps, b, x)
+            expected.append(map_walk_back(gadget, sp(gadget.graph, 0, 4, eps / 4, stream)))
+        assert coupled_lip_sp(g, w, 0, 4, 1, delta, eps, stream) == tuple(expected)
+
+
+def test_implicit_distances_from_and_to_interior_vertices():
+    gi = gen_instance("random-gnm", {"n": 5, "m": 7, "w_min": 1, "w_max": 2}, 3)
+    gadget, implicit = _gadget_pair(gi.graph, gi.weights, 0, 4, 0.5, RandomStream(1))
+    dg = gadget.graph
+    picks = [0, 3, gi.graph.n, gi.graph.n + 5, dg.n // 2, dg.n - 1]
+    for v in picks:
+        ds, dt = implicit.dist_from(v), implicit.dist_to(v)
+        assert [ds[x] for x in range(dg.n)] == dg.hop_dist_from(v).tolist()
+        assert [dt[x] for x in range(dg.n)] == dg.hop_dist_to(v).tolist()
+    for s in picks:
+        for t in picks:
+            if s == t:
+                continue
+            walk = implicit.base_walk(s, t)
+            _, path = dg.shortest_path(s, t)
+            assert _arc_ids(gadget, implicit, walk) == dg.arcs_for_vertex_path(path)
+
+
+def test_implicit_edge_walk_rejects_partial_chain():
+    g = WeightedMultigraph(2, ((0, 1),))
+    implicit = ImplicitGadget(g, np.array([5]), inclusion_cap(2, 0.5))
+    assert implicit.edge_walk(Walk(0, 1, ((0, 0, 2), (0, 2, 5)))).steps == ((0, 1),)
+    with pytest.raises(MalformedWalk):
+        implicit.edge_walk(Walk(0, 1, ((0, 1, 5),)))
