@@ -231,7 +231,8 @@ def map_walk_back(gadget: GadgetGraph, hat_walk: Walk) -> Walk:
 
 
 def _dijkstra(adj: list, source: int, start: int) -> list:
-    """Hop distances over chain adjacency lists, starting at ``start`` hops."""
+    """Hop distances over chain adjacency lists, starting at ``start`` hops
+    at the source."""
     dist = [_INF] * len(adj)
     dist[source] = start
     heap = [(start, source)]
@@ -335,26 +336,23 @@ class ImplicitGadget:
 
     def __init__(self, g: WeightedMultigraph, hat, cap: float):
         self.n_original = g.n
-        self.first, self.last, self.length = [], [], []
-        self.edge, self.direction, self.base = [], [], []
-        self._out = [[] for _ in range(g.n)]  # (last, length, chain) per first vertex
-        self._in = [[] for _ in range(g.n)]  # (first, length, chain) per last vertex
-        n_vertices = g.n
-        for e, (u, v), k in zip(range(g.m), g.edges, hat.tolist()):
-            if u == v or k > cap:
-                continue
-            for a, z, sign in ((u, v, 1), (v, u, -1)):
-                c = len(self.first)
-                self.first.append(a)
-                self.last.append(z)
-                self.length.append(k)
-                self.edge.append(e)
-                self.direction.append(sign)
-                self.base.append(n_vertices)
-                n_vertices += k - 1
-                self._out[a].append((z, k, c))
-                self._in[z].append((a, k, c))
-        self.n = n_vertices
+        chains = [
+            chain
+            for e, (u, v), k in zip(range(g.m), g.edges, hat.tolist())
+            if u != v and k <= cap
+            for chain in ((u, v, k, e, 1), (v, u, k, e, -1))
+        ]
+        columns = [list(col) for col in zip(*chains)] or [[] for _ in range(5)]
+        self.first, self.last, self.length, self.edge, self.direction = columns
+        # base[c] is the id of position 1 of chain c; the total is the vertex count
+        *self.base, self.n = accumulate((k - 1 for k in self.length), initial=g.n)
+        # (first, length, chain) per last vertex, chains ascending.  Every
+        # chain has a twin of equal length running the other way, so these
+        # lists also serve as out-adjacency, and hop distances between
+        # original vertices are symmetric.
+        self._in = [[] for _ in range(g.n)]
+        for c, (a, z, k, _, _) in enumerate(chains):
+            self._in[z].append((a, k, c))
         self._from = {}
         self._to = {}
 
@@ -367,10 +365,10 @@ class ImplicitGadget:
         table = self._from.get(s)
         if table is None:
             if s < self.n_original:
-                table = _ChainTable(self, _dijkstra(self._out, s, 0), True, -1, 0)
+                table = _ChainTable(self, _dijkstra(self._in, s, 0), True, -1, 0)
             else:
                 c, p = self.locate(s)
-                orig = _dijkstra(self._out, self.last[c], self.length[c] - p)
+                orig = _dijkstra(self._in, self.last[c], self.length[c] - p)
                 table = _ChainTable(self, orig, True, c, p)
             self._from[s] = table
         return table
