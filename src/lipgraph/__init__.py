@@ -66,7 +66,6 @@ from .harness import (
 )
 from .lip_sp import (
     GadgetGraph,
-    ImplicitGadget,
     build_gadget,
     build_gadget_from,
     lip_sp,

@@ -273,14 +273,10 @@ class _ChainTable:
         return self.at(*self.gadget.locate(v))
 
     def at(self, c: int, q: int):
-        gd = self.gadget
-        if self.forward:
-            if c == self.chain and q >= self.pos:
-                return q - self.pos
-            return self.orig[gd.first[c]] + q
-        if c == self.chain and q <= self.pos:
-            return self.pos - q
-        return gd.length[c] - q + self.orig[gd.last[c]]
+        """Distance at interior position q of chain c."""
+        for lo, hi, a in self.runs(c):
+            if lo <= q <= hi:
+                return a + q if self.forward else a - q
 
     def runs(self, c: int) -> tuple:
         """(lo, hi, a) runs covering positions 1..k-1 of chain c, on each of
@@ -392,10 +388,11 @@ class ImplicitGadget:
         ]
         starts, counts = [], []
         for c in range(len(self.first)):
-            for lo_s, hi_s_, a in ds.runs(c):
-                for lo_t, hi_t_, b in dt.runs(c):
-                    lo = max(lo_s, lo_t, b - ft)
-                    hi = min(hi_s_, hi_t_, fs - a)
+            for lo1, hi1, a in ds.runs(c):
+                for lo2, hi2, b in dt.runs(c):
+                    # a + q <= fs and b - q <= ft on both runs
+                    lo = max(lo1, lo2, b - ft)
+                    hi = min(hi1, hi2, fs - a)
                     if hi >= lo:
                         starts.append(self.base[c] + lo - 1)
                         counts.append(hi - lo + 1)
