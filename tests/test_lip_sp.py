@@ -252,9 +252,7 @@ def test_coupled_lip_sp_walks_valid_and_close():
 def _gadget_pair(g, w, s, t, eps, stream):
     """Explicit and implicit gadget at the draws lip_sp takes from stream."""
     gadget = build_gadget(g, w, s, t, eps, stream)
-    b = gadget.b
-    x = np.array([r.x for r in gadget.records])
-    _, hat = rounded_lengths(w, b, x)
+    hat = np.array([r.hat_w for r in gadget.records])
     implicit = ImplicitGadget(g, hat, inclusion_cap(g.n, eps))
     assert implicit.n == gadget.graph.n
     return gadget, implicit
