@@ -237,6 +237,18 @@ def test_plip_mwbm_shape_guard():
         plip_mwbm(2, 2, np.ones((2, 2)), 0.7, RandomStream(0))
 
 
+@pytest.mark.parametrize("seed", [54, 70])
+def test_plip_mwbm_converges_at_small_epsilon(seed):
+    # 6x3 at eps 0.01: B is about 1e-3 of the weights; these inputs used
+    # to raise NoConvergence with the row/column excess stalled at 1e-5
+    w = np.random.default_rng(seed).random((6, 3)) * 3
+    eps = 0.01
+    res = plip_mwbm(6, 3, w, eps, RandomStream(seed).sub(eps))
+    assert res.lp.max_violation <= 1e-7
+    assert res.lp.comp_slack <= 1e-7
+    assert float((w * res.lp.x).sum()) >= (1 - 2 * eps) * res.opt - 1e-7
+
+
 def test_plip_mwbm_fractional_guarantee_every_seed():
     gen = np.random.default_rng(6)
     w = gen.random((3, 4))
