@@ -7,10 +7,9 @@ nonnegative duals, and an l1 perturbation of one weight moves the optimum
 by at most sqrt(nU) * delta / B.  Rounding picks a column candidate per row
 from the row marginals, then resolves collisions uniformly per column.
 
-Solver: dual block-coordinate ascent (exact row/column minimization with
-clipping at zero) warm-starts a projected Newton phase on the duals; both
-phases target the same unique fixed point, so the hybrid exists purely to
-reach tight tolerances quickly.
+Solver: projected Newton on the duals (Bertsekas 1982), annealed over B
+from max(w) down to the requested weight, as in epsilon-scaling (Schmitzer,
+arXiv:1610.06519), so that every stage starts near its optimum.
 """
 
 from __future__ import annotations
@@ -34,14 +33,9 @@ class EntMatchingLP:
     lam: np.ndarray  # row duals, >= 0
     mu: np.ndarray  # column duals, >= 0
     b_reg: float
-    iterations: int
+    iterations: int  # Newton steps over all annealing stages
     max_violation: float  # max positive row/col sum excess
     comp_slack: float  # max |dual * (1 - sum)|
-
-    def objective(self, w) -> float:
-        x = self.x
-        ent = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
-        return float(np.sum(w * x) - self.b_reg * np.sum(ent))
 
 
 def _x_from_duals(w, lam, mu, b_reg):
@@ -59,14 +53,66 @@ def _residuals(x, lam, mu):
     return max(viol, 0.0), cs
 
 
-def _dual_value(w, lam, mu, b_reg):
-    x = _x_from_duals(w, lam, mu, b_reg)
-    return float(lam.sum() + mu.sum() + b_reg * x.sum())
+_STAGE_FACTOR = 0.1  # at most this ratio between successive regularization weights
+_STAGE_TOL = 0.1  # KKT residual at which an intermediate stage hands over
+_MAX_STEPS = 100  # Newton steps allowed per stage
+_ARMIJO = 1e-4  # fraction of the predicted decrease a step must achieve
+_MAX_MOVE = 10.0  # largest dual move per step, in units of B
+_FLAT = 1e-12  # relative Hessian eigenvalue below which a direction counts as flat
 
 
-def _logsumexp(a, axis):
-    m = np.max(a, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+def _newton_step(w, theta, x, b_reg):
+    """One projected Newton step on the dual D(theta) = sum(theta) + B sum(x).
+
+    Duals within eps of zero whose gradient pushes them down go to zero, the
+    others take a Newton step; Armijo along the projection arc picks the
+    length.  Returns (theta, x), or None when no length passes.
+    """
+    nu, nv = x.shape
+    rows = x.sum(axis=1)
+    cols = x.sum(axis=0)
+    sums = np.concatenate([rows, cols])
+    grad = 1.0 - sums
+    if nu != nv and np.all(theta > 0.0):
+        # D falls linearly along (1_U, -1_V) with slope |nU - nV| and x stays
+        # put: move along it until the first dual reaches zero
+        t = theta[:nu].min() if nu > nv else -theta[nu:].min()
+        theta = np.concatenate([theta[:nu] - t, theta[nu:] + t])
+    proj = theta - np.maximum(theta - grad, 0.0)
+    eps = min(b_reg, math.sqrt(proj @ proj))
+    active = (theta <= eps) & (grad > 0.0)
+    free = ~active
+    # Free block of the Hessian [[diag(r), X], [X^T, diag(c)]] / B scaled to
+    # unit diagonal.  It is flat along (1_U, -1_V) on any connected set of
+    # free duals, so flat eigenvalues take the diagonal's value 1 instead.
+    hess = np.eye(nu + nv)
+    hess[:nu, nu:] = x / np.sqrt(np.maximum(rows[:, None] * cols[None, :], 1e-300))
+    hess[:nu, nu:] *= free[:nu, None] & free[None, nu:]
+    hess[nu:, :nu] = hess[:nu, nu:].T
+    ev, vec = np.linalg.eigh(hess)
+    ev[ev <= _FLAT * ev[-1]] = 1.0
+    scale = np.sqrt(b_reg / np.maximum(sums, 1e-300))
+    d = -scale * (vec @ ((vec.T @ (scale * grad * free)) / ev))
+    d[active] = -theta[active]
+    # no dual moves more than _MAX_MOVE * B: clip each, or if that spoils
+    # descent, shorten the whole step
+    cap = _MAX_MOVE * b_reg
+    clipped = np.clip(d, -cap, cap)
+    if grad[free] @ clipped[free] < 0.0:
+        d = clipped
+    slope = float(grad[free] @ d[free])
+    alpha = min(1.0, cap / float(np.max(np.abs(d))))
+    for _ in range(50):
+        cand = np.maximum(theta + alpha * d, 0.0)
+        move = cand - theta
+        # D(theta) - D(cand), without cancellation against D itself
+        dec = -move.sum() - b_reg * float(
+            np.sum(x * np.expm1(-(move[:nu, None] + move[None, nu:]) / b_reg))
+        )
+        if dec >= _ARMIJO * (-alpha * slope - float(grad[active] @ move[active])):
+            return cand, _x_from_duals(w, cand[:nu], cand[nu:], b_reg)
+        alpha *= 0.5
+    return None
 
 
 def solve_lp_ent(
@@ -75,8 +121,6 @@ def solve_lp_ent(
     w,
     b_reg: float,
     tol: float = 1e-9,
-    max_sweeps: int = 100_000,
-    warm_start=None,
     dual_history: list | None = None,
 ) -> EntMatchingLP:
     """Solve the entropy-regularized relaxation to KKT residual ``tol``.
@@ -84,8 +128,12 @@ def solve_lp_ent(
     Residuals driven below tol: positive row/column sum excess and
     complementary slackness |dual * (1 - sum)|.  The stationarity identity
     x = exp((w - lam - mu)/B - 1) holds exactly by construction.
-    ``dual_history`` collects the dual objective after each ascent sweep
-    (it decreases monotonically).
+
+    Annealed projected Newton: stages at B_0 = max(w) > ... > B_k = b_reg,
+    geometric with ratio at most 10, each warm-started from the last; only
+    the last is held to ``tol`` and raises NoConvergence, with residuals,
+    when it runs out of steps.  ``dual_history`` collects the dual objective
+    after each step of the last stage (it never increases).
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (nu, nv):
@@ -94,78 +142,29 @@ def solve_lp_ent(
         raise BadParams("regularization weight must be positive")
     if np.any(w < 0):
         raise BadParams("weights must be nonnegative")
-    if warm_start is not None:
-        lam = np.array(warm_start[0], dtype=float)
-        mu = np.array(warm_start[1], dtype=float)
-    else:
-        lam = np.zeros(nu)
-        mu = np.zeros(nv)
-    wb = w / b_reg - 1.0
-    sweeps = 0
-    # phase 1: block ascent; exact minimization per block, monotone dual
-    for sweeps in range(1, max_sweeps + 1):
-        lam = b_reg * np.maximum(0.0, _logsumexp(wb - mu[None, :] / b_reg, axis=1))
-        mu = b_reg * np.maximum(0.0, _logsumexp(wb - lam[:, None] / b_reg, axis=0))
-        if dual_history is not None:
-            dual_history.append(_dual_value(w, lam, mu, b_reg))
-        if sweeps % 8 == 0 or sweeps <= 2:
-            x = _x_from_duals(w, lam, mu, b_reg)
-            viol, cs = _residuals(x, lam, mu)
-            if max(viol, cs) < tol:
-                return EntMatchingLP(x, lam, mu, b_reg, sweeps, viol, cs)
-            if sweeps >= 40:
-                break
-    # phase 2: projected Newton on the duals
-    n_tot = nu + nv
-    for newton_iter in range(200):
-        x = _x_from_duals(w, lam, mu, b_reg)
-        viol, cs = _residuals(x, lam, mu)
-        if max(viol, cs) < tol:
-            return EntMatchingLP(x, lam, mu, b_reg, sweeps + newton_iter, viol, cs)
-        rows = x.sum(axis=1)
-        cols = x.sum(axis=0)
-        grad = np.concatenate([1.0 - rows, 1.0 - cols])
-        theta = np.concatenate([lam, mu])
-        # active bound: at zero with ascent direction pointing outward
-        active = (theta <= 0.0) & (grad >= 0.0)
-        free = ~active
-        if not np.any(free):
-            return EntMatchingLP(x, lam, mu, b_reg, sweeps + newton_iter, viol, cs)
-        hess = np.zeros((n_tot, n_tot))
-        hess[:nu, :nu] = np.diag(rows)
-        hess[nu:, nu:] = np.diag(cols)
-        hess[:nu, nu:] = x
-        hess[nu:, :nu] = x.T
-        hess /= b_reg
-        idx = np.flatnonzero(free)
-        h_ff = hess[np.ix_(idx, idx)] + 1e-14 * np.eye(len(idx))
-        try:
-            step = np.linalg.solve(h_ff, -grad[idx])
-        except np.linalg.LinAlgError:
-            break
-        base = _dual_value(w, lam, mu, b_reg)
-        alpha_step = 1.0
-        for _ in range(60):
-            cand = theta.copy()
-            cand[idx] += alpha_step * step
-            cand = np.maximum(cand, 0.0)
-            if _dual_value(w, cand[:nu], cand[nu:], b_reg) <= base + 1e-15 * abs(base):
-                lam, mu = cand[:nu], cand[nu:]
-                break
-            alpha_step *= 0.5
-        else:
-            break
-    # fall back to ascent until exhausted
-    for extra in range(sweeps, max_sweeps + 1):
-        lam = b_reg * np.maximum(0.0, _logsumexp(wb - mu[None, :] / b_reg, axis=1))
-        mu = b_reg * np.maximum(0.0, _logsumexp(wb - lam[:, None] / b_reg, axis=0))
-        x = _x_from_duals(w, lam, mu, b_reg)
-        viol, cs = _residuals(x, lam, mu)
-        if max(viol, cs) < tol:
-            return EntMatchingLP(x, lam, mu, b_reg, extra, viol, cs)
-    raise NoConvergence(
-        f"no convergence after {max_sweeps} sweeps", residuals=(viol, cs)
-    )
+    top = float(w.max(initial=0.0))
+    stages = math.ceil(math.log(top / b_reg) / -math.log(_STAGE_FACTOR)) if top > b_reg else 0
+    theta = np.zeros(nu + nv)
+    steps = 0
+    # trial steps may overflow exp; the Armijo test rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(stages, -1, -1):
+            b = b_reg * (top / b_reg) ** (k / stages) if k else b_reg
+            x = _x_from_duals(w, theta[:nu], theta[nu:], b)
+            for i in range(_MAX_STEPS + 1):
+                viol, cs = _residuals(x, theta[:nu], theta[nu:])
+                if max(viol, cs) < (tol if k == 0 else _STAGE_TOL) or i == _MAX_STEPS:
+                    break
+                step = _newton_step(w, theta, x, b)
+                if step is None:
+                    break
+                theta, x = step
+                steps += 1
+                if k == 0 and dual_history is not None:
+                    dual_history.append(float(theta.sum() + b_reg * x.sum()))
+    if max(viol, cs) >= tol:
+        raise NoConvergence(f"no convergence after {steps} Newton steps", residuals=(viol, cs))
+    return EntMatchingLP(x, theta[:nu], theta[nu:], b_reg, steps, viol, cs)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Regularized bipartite relaxation and rounding."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from lipgraph.bmatch import (
     sample_row_choice,
     solve_lp_ent,
 )
-from lipgraph.errors import BadParams, DegenerateShape
+from lipgraph.errors import BadParams, DegenerateShape, NoConvergence
 from lipgraph.exact import hungarian_bipartite
 from lipgraph.rng import RandomStream
 
@@ -68,6 +69,15 @@ def test_lp_objective_at_least_unregularized_optimum_minus_entropy():
     b_reg = 0.05 * opt / (nu * math.log(nv))
     sol = solve_lp_ent(nu, nv, w, b_reg)
     assert float((w * sol.x).sum()) >= opt - b_reg * nu * math.log(nv) - 1e-7
+
+
+def test_lp_unreachable_tolerance_fails_fast_with_residuals():
+    w = np.random.default_rng(54).random((6, 3)) * 3
+    started = time.perf_counter()
+    with pytest.raises(NoConvergence) as info:
+        solve_lp_ent(6, 3, w, 0.0129, tol=1e-300)
+    assert time.perf_counter() - started < 1.0
+    assert all(math.isfinite(r) for r in info.value.residuals)
 
 
 def test_lp_rejects_bad_input():
