@@ -70,21 +70,18 @@ def lip_mwm_with_draws(
         rank[v] = pos
     levels = class_partition(w, b, alpha)
     key = _pi_edge_key(g, rank)
+    # heaviest class first, the permutation order inside a class; an edge
+    # passed over once stays blocked, so one greedy pass suffices
+    order = sorted(
+        (-i, key(e)) for i, edges in levels.items() for e in edges if not g.is_self_loop(e)
+    )
     matched = [False] * g.n
     chosen = []
-    for i in sorted(levels, reverse=True):
-        threshold = b * alpha**i
-        members = [
-            e
-            for e in range(g.m)
-            if w[e] >= threshold and not g.is_self_loop(e)
-        ]
-        members.sort(key=key)
-        for e in members:
-            u, v = g.edges[e]
-            if not matched[u] and not matched[v]:
-                matched[u] = matched[v] = True
-                chosen.append(e)
+    for _, (_, _, e) in order:
+        u, v = g.edges[e]
+        if not matched[u] and not matched[v]:
+            matched[u] = matched[v] = True
+            chosen.append(e)
     return Matching(chosen)
 
 
