@@ -23,16 +23,6 @@ from .rng import RandomStream
 
 
 @dataclass(frozen=True)
-class MstRunConfig:
-    epsilon: float
-    seed: int
-
-    def __post_init__(self):
-        if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
-            raise BadParams("epsilon must be positive and finite")
-
-
-@dataclass(frozen=True)
 class LipMstResult:
     tree: SpanningTree
     hat_weights: np.ndarray
