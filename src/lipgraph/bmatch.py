@@ -54,7 +54,7 @@ def _residuals(x, lam, mu):
 
 
 _STAGE_FACTOR = 0.1  # at most this ratio between successive regularization weights
-_STAGE_TOL = 0.1  # KKT residual at which an intermediate stage hands over
+_STAGE_TOL = 0.3  # KKT residual at which an intermediate stage hands over
 _MAX_STEPS = 100  # Newton steps allowed per stage
 _ARMIJO = 1e-4  # fraction of the predicted decrease a step must achieve
 _MAX_MOVE = 10.0  # largest dual move per step, in units of B
@@ -82,6 +82,7 @@ def _newton_step(w, theta, x, b_reg):
     eps = min(b_reg, math.sqrt(proj @ proj))
     active = (theta <= eps) & (grad > 0.0)
     free = ~active
+    grad_free = grad * free
     # Free block of the Hessian [[diag(r), X], [X^T, diag(c)]] / B scaled to
     # unit diagonal.  It is flat along (1_U, -1_V) on any connected set of
     # free duals, so flat eigenvalues take the diagonal's value 1 instead.
@@ -92,16 +93,15 @@ def _newton_step(w, theta, x, b_reg):
     ev, vec = np.linalg.eigh(hess)
     ev[ev <= _FLAT * ev[-1]] = 1.0
     scale = np.sqrt(b_reg / np.maximum(sums, 1e-300))
-    d = -scale * (vec @ ((vec.T @ (scale * grad * free)) / ev))
-    d[active] = -theta[active]
+    d = np.where(active, -theta, -scale * (vec @ ((vec.T @ (scale * grad_free)) / ev)))
     # no dual moves more than _MAX_MOVE * B: clip each, or if that spoils
     # descent, shorten the whole step
     cap = _MAX_MOVE * b_reg
-    clipped = np.clip(d, -cap, cap)
-    if grad[free] @ clipped[free] < 0.0:
+    clipped = d.clip(-cap, cap)
+    if grad_free @ clipped < 0.0:
         d = clipped
-    slope = float(grad[free] @ d[free])
-    alpha = min(1.0, cap / float(np.max(np.abs(d))))
+    slope = float(grad_free @ d)
+    alpha = min(1.0, cap / float(np.abs(d).max()))
     for _ in range(50):
         cand = np.maximum(theta + alpha * d, 0.0)
         move = cand - theta
@@ -109,7 +109,7 @@ def _newton_step(w, theta, x, b_reg):
         dec = -move.sum() - b_reg * float(
             np.sum(x * np.expm1(-(move[:nu, None] + move[None, nu:]) / b_reg))
         )
-        if dec >= _ARMIJO * (-alpha * slope - float(grad[active] @ move[active])):
+        if dec >= _ARMIJO * (-alpha * slope - float((grad - grad_free) @ move)):
             return cand, _x_from_duals(w, cand[:nu], cand[nu:], b_reg)
         alpha *= 0.5
     return None
