@@ -53,7 +53,7 @@ def _residuals(x, lam, mu):
     return max(viol, 0.0), cs
 
 
-_STAGE_FACTOR = 0.1  # at most this ratio between successive regularization weights
+_STAGE_FACTOR = 0.1  # smallest ratio B_{k+1} / B_k between annealing stages
 _STAGE_TOL = 0.3  # KKT residual at which an intermediate stage hands over
 _MAX_STEPS = 100  # Newton steps allowed per stage
 _ARMIJO = 1e-4  # fraction of the predicted decrease a step must achieve

@@ -249,8 +249,8 @@ def test_plip_mwbm_shape_guard():
 
 @pytest.mark.parametrize("seed", [54, 70])
 def test_plip_mwbm_converges_at_small_epsilon(seed):
-    # 6x3 at eps 0.01: B is about 1e-3 of the weights; these inputs used
-    # to raise NoConvergence with the row/column excess stalled at 1e-5
+    # 6x3 at eps 0.01 puts B near 1e-3 of the weights, where the dual is
+    # almost piecewise linear
     w = np.random.default_rng(seed).random((6, 3)) * 3
     eps = 0.01
     res = plip_mwbm(6, 3, w, eps, RandomStream(seed).sub(eps))
