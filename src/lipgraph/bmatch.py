@@ -101,7 +101,7 @@ def _newton_step(w, theta, x, b_reg):
     if grad_free @ clipped < 0.0:
         d = clipped
     slope = float(grad_free @ d)
-    alpha = min(1.0, cap / float(np.abs(d).max()))
+    alpha = cap / max(cap, float(np.abs(d).max()))
     for _ in range(50):
         cand = np.maximum(theta + alpha * d, 0.0)
         move = cand - theta
@@ -140,8 +140,8 @@ def solve_lp_ent(
         raise BadParams(f"weight matrix shape {w.shape}, expected ({nu},{nv})")
     if b_reg <= 0:
         raise BadParams("regularization weight must be positive")
-    if np.any(w < 0):
-        raise BadParams("weights must be nonnegative")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise BadParams("weights must be finite and nonnegative")
     top = float(w.max(initial=0.0))
     stages = math.ceil(math.log(top / b_reg) / -math.log(_STAGE_FACTOR)) if top > b_reg else 0
     theta = np.zeros(nu + nv)

@@ -85,6 +85,8 @@ def test_lp_rejects_bad_input():
         solve_lp_ent(1, 1, [[1.0]], 0.0)
     with pytest.raises(BadParams):
         solve_lp_ent(2, 1, [[1.0]], 0.5)
+    with pytest.raises(BadParams):
+        solve_lp_ent(1, 2, [[1.0, np.inf]], 0.5)
 
 
 # --- stability ----------------------------------------------------------------
