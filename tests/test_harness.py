@@ -5,7 +5,7 @@ import pytest
 
 from lipgraph.cli import main as cli_main
 from lipgraph.errors import BadParams, InvalidEdge
-from lipgraph.graphs import write_edge_list
+from lipgraph.graphs import WeightedMultigraph, write_edge_list
 from lipgraph.harness import (
     ExperimentConfig,
     GraphInstance,
@@ -276,5 +276,51 @@ def test_cli_check_failure_exit_code(graph_file, monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "run_experiment", boom)
     code = cli_main(
         ["mst", "--input", graph_file, "--epsilon", "0.5", "--check", "--trials", "5"]
+    )
+    assert code == 1
+
+
+def test_cli_check_passes_correct_stability_run(tmp_path, capsys):
+    # the plug-in EMD between 400 + 400 samples sits far above the coupled
+    # estimate (2.33 against 0.0065); that gap is sampling bias, not a defect
+    inst = gen_instance("random-gnm", {"n": 8, "m": 16}, 12)
+    path = tmp_path / "g.txt"
+    path.write_text(write_edge_list(inst.graph, inst.weights))
+    code = cli_main(
+        ["mwm", "--input", str(path), "--alpha", "2.1", "--perturb-edge", "3",
+         "--delta", "0.05", "--trials", "400", "--seed", "5", "--check"]
+    )
+    assert code == 0, capsys.readouterr().err
+
+
+def test_check_rejects_broken_coupling(tmp_path, monkeypatch, capsys):
+    # two parallel edges: edge 0 always wins at w, edge 1 always wins at w2,
+    # so EMD = coupled = 2 with zero stderr and zero split-half nulls
+    from lipgraph import harness
+    from lipgraph.harness import CheckFailure
+
+    g = WeightedMultigraph(2, ((0, 1), (0, 1)))
+    inst = GraphInstance(g, np.array([1.0, 1.2]), "parallel")
+    point = {"epsilon": 0.1, "edge": 0, "delta": 0.5, "metric": "unweighted"}
+    cfg = ExperimentConfig(
+        algorithm="mst", instance=inst, grid=(point,), trials=40, seed=3, check=True
+    )
+    row = run_experiment(cfg).strip().splitlines()[-1].split(",")
+    assert row[-6:] == ["2.0", "0.0", "4.0", "2.0", "0.0", "4.0"]
+
+    coupled = harness._coupled_run
+
+    def unperturbed_twice(*args):
+        ms1, _ = coupled(*args)
+        return ms1, ms1
+
+    monkeypatch.setattr(harness, "_coupled_run", unperturbed_twice)
+    with pytest.raises(CheckFailure):
+        run_experiment(cfg)
+    path = tmp_path / "g.txt"
+    path.write_text(write_edge_list(g, inst.weights))
+    code = cli_main(
+        ["mst", "--input", str(path), "--epsilon", "0.1", "--perturb-edge", "0",
+         "--delta", "0.5", "--trials", "40", "--seed", "3", "--check"]
     )
     assert code == 1
