@@ -77,22 +77,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_points(args, keys) -> tuple:
+def _grid_points(args, metric: str) -> tuple:
+    """One point per (epsilon, alpha), with the perturbation if one is requested."""
     points = []
-    epsilons = getattr(args, "epsilon", None) or [None]
-    alphas = getattr(args, "alpha", None) or [None]
-    for eps in epsilons:
-        for alpha in alphas:
-            point = {}
-            if eps is not None:
-                point["epsilon"] = eps
-            if alpha is not None:
-                point["alpha"] = alpha
-            for key in keys:
-                value = getattr(args, key.replace("-", "_"), None)
-                if value is not None:
-                    point[key.replace("-", "_")] = value
-            points.append(point)
+    for eps in getattr(args, "epsilon", None) or [None]:
+        for alpha in getattr(args, "alpha", None) or [None]:
+            point = {"epsilon": eps, "alpha": alpha}
+            for key in ("source", "target", "gamma_override", "contract_edge"):
+                point[key] = getattr(args, key, None)
+            if getattr(args, "delta", None) is not None:
+                if getattr(args, "perturb_edge", None) is not None:
+                    point.update(edge=args.perturb_edge, delta=args.delta, metric=metric)
+                elif getattr(args, "perturb_cell", None) is not None:
+                    point.update(cell=tuple(args.perturb_cell), delta=args.delta)
+            points.append({k: v for k, v in point.items() if v is not None})
     return tuple(points)
 
 
@@ -119,84 +117,32 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "bmatch":
-        inst = load_instance_file(args.input, bipartite=True)
+    inst = load_instance_file(args.input, bipartite=args.command == "bmatch")
+    if args.command == "bmatch" and args.dump_lp:
         nu, nv = inst.weights.shape
-        if args.dump_lp:
-            res = plip_mwbm(nu, nv, inst.weights, args.epsilon[0], RandomStream(args.seed))
-            if res.lp is None:
-                print("zero optimum; no relaxation solved")
-                return 0
-            print(f"B {float(res.b_reg)!r}")
-            for i in range(nu):
-                print("x " + " ".join(repr(float(v)) for v in res.lp.x[i]))
-            print("lambda " + " ".join(repr(float(v)) for v in res.lp.lam))
-            print("mu " + " ".join(repr(float(v)) for v in res.lp.mu))
+        res = plip_mwbm(nu, nv, inst.weights, args.epsilon[0], RandomStream(args.seed))
+        if res.lp is None:
+            print("zero optimum; no relaxation solved")
             return 0
-        grid = []
-        for eps in args.epsilon:
-            point = {"epsilon": eps}
-            if args.perturb_cell is not None and args.delta is not None:
-                point["cell"] = tuple(args.perturb_cell)
-                point["delta"] = args.delta
-            grid.append(point)
-        config = ExperimentConfig(
-            algorithm="bmatch", instance=inst, grid=tuple(grid),
-            trials=args.trials, seed=args.seed, check=args.check, timing=args.timing,
-        )
-        _emit(args, run_experiment(config))
+        print(f"B {float(res.b_reg)!r}")
+        for i in range(nu):
+            print("x " + " ".join(repr(float(v)) for v in res.lp.x[i]))
+        print("lambda " + " ".join(repr(float(v)) for v in res.lp.lam))
+        print("mu " + " ".join(repr(float(v)) for v in res.lp.mu))
         return 0
-
-    inst = load_instance_file(args.input)
-    if cmd == "mst":
-        alg = "pmst" if args.pointwise else "mst"
-        grid = _grid_points(args, ())
-        for point in grid:
-            if args.perturb_edge is not None and args.delta is not None:
-                point["edge"] = args.perturb_edge
-                point["delta"] = args.delta
-                point["metric"] = "unweighted" if args.pointwise else "weighted"
-    elif cmd == "sp-unweighted":
-        alg = "sp-unweighted"
-        grid = _grid_points(args, ("gamma-override", "contract-edge"))
-        for point in grid:
-            point["source"] = args.source
-            point["target"] = args.target
-    elif cmd == "sp":
-        alg = "sp"
-        if args.emit_gadget:
-            gadget = build_gadget(
-                inst.graph, inst.weights, args.source, args.target,
-                args.epsilon[0], RandomStream(args.seed),
-            )
-            print(f"{gadget.graph.n} {gadget.graph.m}")
-            for tail, head in gadget.graph.arcs:
-                print(f"{tail} {head}")
-            return 0
-        grid = _grid_points(args, ())
-        for point in grid:
-            point["source"] = args.source
-            point["target"] = args.target
-            if args.perturb_edge is not None and args.delta is not None:
-                point["edge"] = args.perturb_edge
-                point["delta"] = args.delta
-                point["metric"] = "weighted"
-    elif cmd == "mwm":
-        alg = "mwm"
-        grid = _grid_points(args, ())
-        for point in grid:
-            if "alpha" not in point:
-                point["alpha"] = 2.0 + point["epsilon"]
-            if args.perturb_edge is not None and args.delta is not None:
-                point["edge"] = args.perturb_edge
-                point["delta"] = args.delta
-                point["metric"] = "weighted"
-    else:
-        raise LipgraphError(f"unknown command {cmd!r}")
-
+    if args.command == "sp" and args.emit_gadget:
+        gadget = build_gadget(
+            inst.graph, inst.weights, args.source, args.target,
+            args.epsilon[0], RandomStream(args.seed),
+        )
+        print(f"{gadget.graph.n} {gadget.graph.m}")
+        for tail, head in gadget.graph.arcs:
+            print(f"{tail} {head}")
+        return 0
+    pointwise = getattr(args, "pointwise", False)
     config = ExperimentConfig(
-        algorithm=alg, instance=inst, grid=grid,
+        algorithm="pmst" if pointwise else args.command, instance=inst,
+        grid=_grid_points(args, "unweighted" if pointwise else "weighted"),
         trials=args.trials, seed=args.seed, check=args.check, timing=args.timing,
     )
     _emit(args, run_experiment(config))

@@ -7,14 +7,25 @@ Two estimators are reported for every perturbation experiment:
 * empirical EMD: independent sampling into empirical distributions, exact
   transportation distance between them, divided by the perturbation size.
 
-The coupled estimate can never fall below the EMD estimate beyond Monte
-Carlo error (a coupling is feasible for the minimum).
+The coupled mean is an unbiased estimate of an upper bound on the true
+EMD, since a coupling is feasible for the minimum.  The plug-in EMD between
+two finite samples is biased upward (by roughly 1/sqrt(trials) when the
+output supports are wide; Fournier & Guillin, PTRF 2015), so on correct
+runs it can lie far above the coupled estimate.  ``--check`` asserts
+
+    coupled + 3 (coupled_stderr + emd_stderr) >= emd - null_p - null_q,
+
+where null_p (null_q) is the EMD between the two halves of the unperturbed
+(perturbed) samples.  By the triangle inequality and convexity, the nulls
+bound the plug-in bias in expectation, so the check holds on correct runs
+up to Monte Carlo error.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +41,7 @@ from .graphs import (
     read_bipartite,
     read_edge_list,
 )
-from .metrics import (
-    EdgeSetDistribution,
-    d_u,
-    d_w,
-    emd_empirical,
-    unweighted_cost,
-    weighted_cost,
-)
+from .metrics import EdgeSetDistribution, emd_empirical, unweighted_cost, weighted_cost
 from .mst import coupled_lip_mst, coupled_plip_mst, lip_mst, plip_mst
 from .mwm import coupled_lip_mwm, lip_mwm
 from .bmatch import coupled_plip_mwbm, plip_mwbm
@@ -197,19 +201,44 @@ def gen_instance(kind: str, params: dict | None, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# algorithm adapters: single run and coupled pair, both returning multisets
+# algorithm adapters
 
 
-def _single_run(alg: str, g, w, point: dict, stream: RandomStream):
-    if alg == "mst":
-        return lip_mst(g, w, point["epsilon"], stream).tree.multiset
-    if alg == "pmst":
-        return plip_mst(g, w, point["epsilon"], stream).tree.multiset
+def _algorithm(alg: str, g, point: dict):
+    """(run, value, bound) of one algorithm at one grid point.
+
+    ``run(w, stream)`` returns one output (with a ``multiset``),
+    ``value(out, w)`` its objective value, and ``bound(w)`` the exact
+    optimum with the guarantee column's value.
+    """
+    if alg in ("mst", "pmst"):
+        eps, lip = point["epsilon"], lip_mst if alg == "mst" else plip_mst
+        return (lambda w, rs: lip(g, w, eps, rs).tree, lambda out, w: out.weight(w),
+                lambda w: (kruskal_mst(g, w).weight(w), 1.0 + eps))
     if alg == "sp":
-        return lip_sp(g, w, point["source"], point["target"], point["epsilon"], stream).multiset
+        eps, s, t = point["epsilon"], point["source"], point["target"]
+        return (lambda w, rs: lip_sp(g, w, s, t, eps, rs), lambda out, w: out.weighted_length(w),
+                lambda w: (dijkstra(g, w, s)[0][t], 1.0 + eps))
+    if alg == "sp-unweighted":
+        eps, s, t = point["epsilon"], point["source"], point["target"]
+        override = point.get("gamma_override")
+
+        def bound(w):
+            opt = g.hop_dist(s)[t]
+            if override is None:
+                return opt, 1.0 + eps
+            return opt, float(opt) ** (1.0 + 14.0 * override) / opt if opt > 0 else 1.0
+
+        return lambda w, rs: sp(g, s, t, eps, rs, gamma_override=override), lambda out, w: len(out), bound
     if alg == "mwm":
-        return lip_mwm(g, w, point["alpha"], stream).multiset
-    raise BadParams(f"no single-run adapter for algorithm {alg!r}")
+        alpha = point["alpha"]
+        return (lambda w, rs: lip_mwm(g, w, alpha, rs), lambda out, w: out.weight(w),
+                lambda w: (exact_max_weight_matching(g, w)[1], 1.0 / (4.0 * alpha)))
+    if alg == "bmatch":
+        eps = point["epsilon"]
+        return (lambda w, rs: plip_mwbm(*w.shape, w, eps, rs), lambda out, w: out.weight(w),
+                lambda w: (hungarian_bipartite(w)[1], 0.5 - eps))
+    raise BadParams(f"unknown algorithm {alg!r}")
 
 
 def _coupled_run(alg: str, g, w, f: int, delta: float, point: dict, stream: RandomStream):
@@ -262,6 +291,40 @@ def emd_between_samples(samples1, samples2, cost, batches: int = 4) -> tuple[flo
     return value, spread
 
 
+def _unweighted(a: str, b: str):
+    return unweighted_cost
+
+
+def _estimate(metric, delta, trials, seed, pair, single, cost):
+    """Coupled and empirical-EMD estimates from one keyed stream.
+
+    Side "p" is the unperturbed instance and "q" the perturbed one.
+    ``pair(stream)`` returns a coupled (p, q) pair of output multisets,
+    ``single(side, stream)`` one independent output of a side, and
+    ``cost(a, b)`` the distance between outputs of sides a and b.  Returns
+    the estimate and ``null()``: the summed EMD between the two halves of
+    each side's samples, which bounds the plug-in EMD's sampling bias in
+    expectation.  Nothing is solved for the null unless it is called.
+    """
+    base = RandomStream(seed)
+    pq = cost("p", "q")
+    coupled = _mean_stderr([pq(*pair(base.sub("coupled", k))) for k in range(trials)])
+    samples = {side: [single(side, base.sub("ind", side, k)) for k in range(trials)] for side in "pq"}
+    emd = emd_between_samples(samples["p"], samples["q"], pq)
+
+    def null() -> float:
+        h = trials // 2
+        return sum(
+            emd_empirical(
+                EdgeSetDistribution.from_samples(s[:h]), EdgeSetDistribution.from_samples(s[h:]),
+                cost(side, side),
+            )
+            for side, s in samples.items()
+        )
+
+    return LipschitzEstimate(metric, delta, trials, *coupled, *emd), null
+
+
 def estimate_lipschitz(
     alg: str,
     g: WeightedMultigraph,
@@ -274,6 +337,10 @@ def estimate_lipschitz(
     point: dict | None = None,
 ) -> LipschitzEstimate:
     """Coupled and empirical-EMD stability estimates for one perturbation."""
+    return _lipschitz(alg, g, w, f, delta, trials, seed, metric, point)[0]
+
+
+def _lipschitz(alg, g, w, f, delta, trials, seed, metric, point):
     if delta <= 0:
         raise BadParams("delta must be positive")
     if metric not in ("weighted", "unweighted"):
@@ -282,36 +349,16 @@ def estimate_lipschitz(
     if not (0 <= f < g.m):
         raise InvalidEdge(f"edge {f} out of range")
     point = dict(point or {})
-    direction = perturbation_direction(alg)
     w2 = w.copy()
-    w2[f] += direction * delta
+    w2[f] += perturbation_direction(alg) * delta
     if w2[f] < 0:
         raise BadParams("downward perturbation below zero")
-
-    base = RandomStream(seed)
-    pair_dists = []
-    for k in range(trials):
-        stream = base.sub("coupled", k)
-        ms1, ms2 = _coupled_run(alg, g, w, f, delta, point, stream)
-        if metric == "weighted":
-            pair_dists.append(d_w(ms1, w, ms2, w2))
-        else:
-            pair_dists.append(d_u(ms1, ms2))
-    coupled_mean, coupled_stderr = _mean_stderr(pair_dists)
-
-    samples1 = [_single_run(alg, g, w, point, base.sub("ind", "p", k)) for k in range(trials)]
-    samples2 = [_single_run(alg, g, w2, point, base.sub("ind", "q", k)) for k in range(trials)]
-    cost = weighted_cost(w, w2) if metric == "weighted" else unweighted_cost
-    emd, emd_stderr = emd_between_samples(samples1, samples2, cost)
-
-    return LipschitzEstimate(
-        metric=metric,
-        delta=delta,
-        trials=trials,
-        coupled_mean=coupled_mean,
-        coupled_stderr=coupled_stderr,
-        emd=emd,
-        emd_stderr=emd_stderr,
+    run, ws = _algorithm(alg, g, point)[0], {"p": w, "q": w2}
+    return _estimate(
+        metric, delta, trials, seed,
+        lambda stream: _coupled_run(alg, g, w, f, delta, point, stream),
+        lambda side, stream: run(ws[side], stream).multiset,
+        (lambda a, b: weighted_cost(ws[a], ws[b])) if metric == "weighted" else _unweighted,
     )
 
 
@@ -329,6 +376,10 @@ def estimate_bipartite_pointwise(
     symmetric-difference metric.  Coupled runs share (B, row, column)
     randomness; the EMD route samples both instances independently.
     """
+    return _bipartite(w, cell, delta, epsilon, trials, seed)[0]
+
+
+def _bipartite(w, cell, delta, epsilon, trials, seed):
     w = np.asarray(w, dtype=float)
     nu, nv = w.shape
     if delta <= 0:
@@ -337,36 +388,19 @@ def estimate_bipartite_pointwise(
         raise InvalidEdge(f"cell {cell} out of range")
     w2 = w.copy()
     w2[cell] += delta
+    ws = {"p": w, "q": w2}
 
     def ids(matching):
-        from collections import Counter
-
         return Counter({i * nv + j: 1 for i, j in matching})
 
-    base = RandomStream(seed)
-    pair_dists = []
-    for k in range(trials):
-        out = coupled_plip_mwbm(nu, nv, w, cell, delta, epsilon, base.sub("coupled", k))
-        pair_dists.append(d_u(ids(out["matching1"]), ids(out["matching2"])))
-    coupled_mean, coupled_stderr = _mean_stderr(pair_dists)
+    def pair(stream):
+        out = coupled_plip_mwbm(nu, nv, w, cell, delta, epsilon, stream)
+        return ids(out["matching1"]), ids(out["matching2"])
 
-    samples1 = [
-        ids(plip_mwbm(nu, nv, w, epsilon, base.sub("ind", "p", k)).matching)
-        for k in range(trials)
-    ]
-    samples2 = [
-        ids(plip_mwbm(nu, nv, w2, epsilon, base.sub("ind", "q", k)).matching)
-        for k in range(trials)
-    ]
-    emd, emd_stderr = emd_between_samples(samples1, samples2, unweighted_cost)
-    return LipschitzEstimate(
-        metric="unweighted",
-        delta=delta,
-        trials=trials,
-        coupled_mean=coupled_mean,
-        coupled_stderr=coupled_stderr,
-        emd=emd,
-        emd_stderr=emd_stderr,
+    return _estimate(
+        "unweighted", delta, trials, seed, pair,
+        lambda side, stream: ids(plip_mwbm(nu, nv, ws[side], epsilon, stream).matching),
+        _unweighted,
     )
 
 
@@ -393,36 +427,18 @@ def estimate_contraction_sensitivity(
         raise InvalidEdge("contracted edge must not touch the endpoints")
     cres: ContractionResult = contract_edge(g, e)
     s2, t2 = cres.vertex_map[s], cres.vertex_map[t]
-    base = RandomStream(seed)
-
-    def run_pair(stream):
-        w1 = sp(g, s, t, epsilon, stream, gamma_override=gamma_override)
-        w2 = sp(cres.graph, s2, t2, epsilon, stream, gamma_override=gamma_override)
-        return w1.multiset, cres.multiset_to_original(w2.multiset)
-
-    pair_dists = []
-    for k in range(trials):
-        ms1, ms2 = run_pair(base.sub("coupled", k))
-        pair_dists.append(d_u(ms1, ms2))
-    coupled_mean, coupled_stderr = _mean_stderr(pair_dists)
-
-    samples1 = []
-    samples2 = []
-    for k in range(trials):
-        samples1.append(sp(g, s, t, epsilon, base.sub("ind", "p", k), gamma_override=gamma_override).multiset)
-        walk2 = sp(cres.graph, s2, t2, epsilon, base.sub("ind", "q", k), gamma_override=gamma_override)
-        samples2.append(cres.multiset_to_original(walk2.multiset))
-    emd, emd_stderr = emd_between_samples(samples1, samples2, unweighted_cost)
-
-    return LipschitzEstimate(
-        metric="unweighted",
-        delta=None,
-        trials=trials,
-        coupled_mean=coupled_mean,
-        coupled_stderr=coupled_stderr,
-        emd=emd,
-        emd_stderr=emd_stderr,
-    )
+    walk = {
+        "p": lambda stream: sp(g, s, t, epsilon, stream, gamma_override=gamma_override).multiset,
+        "q": lambda stream: cres.multiset_to_original(
+            sp(cres.graph, s2, t2, epsilon, stream, gamma_override=gamma_override).multiset
+        ),
+    }
+    return _estimate(
+        "unweighted", None, trials, seed,
+        lambda stream: (walk["p"](stream), walk["q"](stream)),
+        lambda side, stream: walk[side](stream),
+        _unweighted,
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,105 +478,67 @@ class CheckFailure(Exception):
     """An invariant assertion failed under --check."""
 
 
-def _graph_point_rows(config: ExperimentConfig, point: dict) -> dict:
-    inst = config.instance
-    g, w = inst.graph, inst.weights
-    alg = config.algorithm
-    base = RandomStream(config.seed)
-    ratios = []
-    violations = 0
-    guarantee = None
-
-    if alg in ("mst", "pmst"):
-        eps = point["epsilon"]
-        opt = kruskal_mst(g, w).weight(w)
-        guarantee = 1.0 + eps
-        for k in range(config.trials):
-            stream = base.sub("trial", k)
-            res = lip_mst(g, w, eps, stream) if alg == "mst" else plip_mst(g, w, eps, stream)
-            value = res.tree.weight(w)
-            ratio = value / opt if opt > 0 else 1.0
-            ratios.append(ratio)
-            if value > guarantee * opt + 1e-9:
-                violations += 1
-            if config.check:
-                res.tree.validate(g)
-    elif alg == "sp":
-        eps = point["epsilon"]
-        s, t = point["source"], point["target"]
-        opt = dijkstra(g, w, s)[0][t]
-        guarantee = 1.0 + eps
-        for k in range(config.trials):
-            walk = lip_sp(g, w, s, t, eps, base.sub("trial", k))
-            value = walk.weighted_length(w)
-            ratio = value / opt if opt > 0 else (1.0 if value == 0 else float("inf"))
-            ratios.append(ratio)
-            if value > guarantee * opt + 1e-9:
-                violations += 1
-            if config.check:
-                walk.validate(g)
-    elif alg == "sp-unweighted":
-        eps = point["epsilon"]
-        s, t = point["source"], point["target"]
-        override = point.get("gamma_override")
-        opt = g.hop_dist(s)[t]
-        if override is not None:
-            guarantee = float(opt) ** (1.0 + 14.0 * override) / opt if opt > 0 else 1.0
-        else:
-            guarantee = 1.0 + eps
-        for k in range(config.trials):
-            walk = sp(g, s, t, eps, base.sub("trial", k), gamma_override=override)
-            ratio = len(walk) / opt if opt > 0 else 1.0
-            ratios.append(ratio)
-            if ratio > guarantee + 1e-9:
-                violations += 1
-            if config.check:
-                walk.validate(g)
-    elif alg == "mwm":
-        alpha = point.get("alpha") or 2.0 + point["epsilon"]
-        point = dict(point, alpha=alpha)
-        _, opt = exact_max_weight_matching(g, w)
-        guarantee = 1.0 / (4.0 * alpha)
-        for k in range(config.trials):
-            matching = lip_mwm(g, w, alpha, base.sub("trial", k))
-            ratios.append(matching.weight(w) / opt if opt > 0 else 1.0)
-            if config.check:
-                matching.validate(g)
-        violations = None
+def _point_row(config: ExperimentConfig, point: dict) -> dict:
+    """Ratios against the exact optimum, then stability estimates if perturbed."""
+    inst, trials, seed = config.instance, config.trials, config.seed
+    w, bipartite = inst.weights, isinstance(inst, BipartiteInstance)
+    if bipartite:
+        alg, g, (n, m), cell = "bmatch", None, w.shape, point.get("cell")
+        point = {"epsilon": point["epsilon"], "delta": point.get("delta"), "edge": cell,
+                 "metric": None if cell is None else "unweighted"}
     else:
-        raise BadParams(f"unknown algorithm {config.algorithm!r}")
-
+        alg, g = config.algorithm, inst.graph
+        n, m = g.n, g.m
+        if alg == "mwm":
+            point = dict(point, alpha=point.get("alpha") or 2.0 + point["epsilon"])
+    run, value, bound = _algorithm(alg, g, point)
+    opt, guarantee = bound(w)
+    base = RandomStream(seed)
+    ratios, violations = [], 0
+    for k in range(trials):
+        out = run(w, base.sub("trial", k))
+        val = value(out, w)
+        ratio = val / opt if opt > 0 else (1.0 if val == 0 else math.inf)
+        ratios.append(ratio)
+        if alg == "sp-unweighted":
+            violations += ratio > guarantee + 1e-9
+        elif alg in ("mst", "pmst", "sp"):
+            violations += val > guarantee * opt + 1e-9
+        if config.check and not bipartite:
+            out.validate(g)
     row = {
         "algorithm": alg,
         "instance": inst.name,
-        "n": g.n,
-        "m": g.m,
+        "n": n,
+        "m": m,
         "epsilon": point.get("epsilon"),
         "alpha": point.get("alpha"),
         "gamma_override": point.get("gamma_override"),
         "delta": point.get("delta"),
         "edge": point.get("edge"),
         "metric": point.get("metric"),
-        "trials": config.trials,
-        "seed": config.seed,
+        "trials": trials,
+        "seed": seed,
         "ratio_mean": float(np.mean(ratios)),
         "ratio_max": float(np.max(ratios)),
         "guarantee": guarantee,
-        "violations": violations,
+        "violations": None if alg in ("mwm", "bmatch") else violations,
     }
 
-    if point.get("delta") is not None and point.get("edge") is not None and alg != "sp-unweighted":
-        est = estimate_lipschitz(
-            alg,
-            g,
-            w,
-            point["edge"],
-            point["delta"],
-            config.trials,
-            config.seed,
-            metric=point.get("metric", "weighted"),
-            point=point,
+    est = null = None
+    delta, edge = point.get("delta"), point.get("edge")
+    if alg == "sp-unweighted":
+        if point.get("contract_edge") is not None:  # contraction rows stay unchecked
+            est = estimate_contraction_sensitivity(
+                g, point["source"], point["target"], point["epsilon"], point["contract_edge"],
+                point.get("gamma_override"), trials, seed,
+            )
+    elif delta is not None and edge is not None:
+        est, null = (
+            _bipartite(w, tuple(edge), delta, point["epsilon"], trials, seed) if bipartite
+            else _lipschitz(alg, g, w, edge, delta, trials, seed, point.get("metric", "weighted"), point)
         )
+    if est is not None:
         row.update(
             coupled_estimate=est.coupled_mean,
             coupled_stderr=est.coupled_stderr,
@@ -569,73 +547,14 @@ def _graph_point_rows(config: ExperimentConfig, point: dict) -> dict:
             emd_stderr=est.emd_stderr,
             emd_ratio=est.emd_ratio,
         )
-        if config.check and est.coupled_mean < est.emd - 3.0 * (est.coupled_stderr + est.emd_stderr) - 1e-9:
-            raise CheckFailure("coupled estimate fell below the EMD estimate")
-    if alg == "sp-unweighted" and point.get("contract_edge") is not None:
-        est = estimate_contraction_sensitivity(
-            g,
-            point["source"],
-            point["target"],
-            point["epsilon"],
-            point["contract_edge"],
-            point.get("gamma_override"),
-            config.trials,
-            config.seed,
-        )
-        row.update(
-            coupled_estimate=est.coupled_mean,
-            coupled_stderr=est.coupled_stderr,
-            coupled_ratio=est.coupled_ratio,
-            emd_estimate=est.emd,
-            emd_stderr=est.emd_stderr,
-            emd_ratio=est.emd_ratio,
-        )
+    # the coupled mean bounds the true EMD, which is at least the plug-in EMD
+    # less both sides' sampling error; the split-half nulls bound that error
+    # in expectation, and one trial leaves no second half to form them
+    if config.check and null is not None and trials > 1:
+        if est.coupled_mean + 3.0 * (est.coupled_stderr + est.emd_stderr) < est.emd - null() - 1e-9:
+            raise CheckFailure("coupled estimate fell below the EMD estimate less its sampling null")
     if config.check and violations:
         raise CheckFailure(f"{violations} per-sample guarantee violations")
-    return row
-
-
-def _bipartite_point_row(config: ExperimentConfig, point: dict) -> dict:
-    inst = config.instance
-    w = inst.weights
-    nu, nv = w.shape
-    eps = point["epsilon"]
-    base = RandomStream(config.seed)
-    _, opt = hungarian_bipartite(w)
-    ratios = []
-    for k in range(config.trials):
-        res = plip_mwbm(nu, nv, w, eps, base.sub("trial", k))
-        ratios.append(res.weight(w) / opt if opt > 0 else 1.0)
-    row = {
-        "algorithm": "bmatch",
-        "instance": inst.name,
-        "n": nu,
-        "m": nv,
-        "epsilon": eps,
-        "delta": point.get("delta"),
-        "edge": point.get("cell"),
-        "metric": "unweighted" if point.get("cell") is not None else None,
-        "trials": config.trials,
-        "seed": config.seed,
-        "ratio_mean": float(np.mean(ratios)),
-        "ratio_max": float(np.max(ratios)),
-        "guarantee": 0.5 - eps,
-        "violations": None,
-    }
-    if point.get("cell") is not None and point.get("delta") is not None:
-        est = estimate_bipartite_pointwise(
-            w, tuple(point["cell"]), point["delta"], eps, config.trials, config.seed
-        )
-        row.update(
-            coupled_estimate=est.coupled_mean,
-            coupled_stderr=est.coupled_stderr,
-            coupled_ratio=est.coupled_ratio,
-            emd_estimate=est.emd,
-            emd_stderr=est.emd_stderr,
-            emd_ratio=est.emd_ratio,
-        )
-        if config.check and est.coupled_mean < est.emd - 3.0 * (est.coupled_stderr + est.emd_stderr) - 1e-9:
-            raise CheckFailure("coupled estimate fell below the EMD estimate")
     return row
 
 
@@ -649,10 +568,7 @@ def run_experiment(config: ExperimentConfig) -> str:
     lines = [f"# {CSV_SCHEMA_VERSION}", ",".join(columns)]
     for point in config.grid:
         started = time.perf_counter()
-        if isinstance(config.instance, BipartiteInstance):
-            row = _bipartite_point_row(config, point)
-        else:
-            row = _graph_point_rows(config, point)
+        row = _point_row(config, point)
         if config.timing:
             row["wall_time_s"] = time.perf_counter() - started
         lines.append(",".join(_fmt(row.get(col)) for col in columns))
