@@ -209,7 +209,8 @@ def _algorithm(alg: str, g, point: dict):
 
     ``run(w, stream)`` returns one output (with a ``multiset``),
     ``value(out, w)`` its objective value, and ``bound(w)`` the exact
-    optimum with the guarantee column's value.
+    optimum with the guarantee column's value.  The estimators use only
+    ``run``, so no exact optimum is solved until ``bound`` is called.
     """
     if alg in ("mst", "pmst"):
         eps, lip = point["epsilon"], lip_mst if alg == "mst" else plip_mst
