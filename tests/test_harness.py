@@ -265,6 +265,15 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     assert cli_main(["mst", "--input", str(bad), "--epsilon", "0.5"]) == 2
 
 
+def test_cli_mwm_alpha_zero_is_bad_input(tmp_path, capsys):
+    # an explicit alpha of 0 is out of range, not missing: exit 2, not a traceback
+    tri = tmp_path / "tri.txt"
+    tri.write_text(write_edge_list(WeightedMultigraph(3, ((0, 1), (1, 2), (0, 2))),
+                                   np.array([1.0, 2.0, 3.0])))
+    assert cli_main(["mwm", "--input", str(tri), "--alpha", "0", "--trials", "3"]) == 2
+    assert "alpha must exceed 2" in capsys.readouterr().err
+
+
 def test_cli_check_failure_exit_code(graph_file, monkeypatch, capsys):
     # invariant violations surface as exit code 1
     from lipgraph import cli as cli_module
