@@ -233,6 +233,8 @@ def _algorithm(alg: str, g, point: dict):
         return lambda w, rs: sp(g, s, t, eps, rs, gamma_override=override), lambda out, w: len(out), bound
     if alg == "mwm":
         alpha = point["alpha"]
+        if alpha <= 2:  # checked here too: the guarantee 1/(4 alpha) is computed before any run
+            raise BadParams("alpha must exceed 2")
         return (lambda w, rs: lip_mwm(g, w, alpha, rs), lambda out, w: out.weight(w),
                 lambda w: (exact_max_weight_matching(g, w)[1], 1.0 / (4.0 * alpha)))
     if alg == "bmatch":
@@ -490,8 +492,8 @@ def _point_row(config: ExperimentConfig, point: dict) -> dict:
     else:
         alg, g = config.algorithm, inst.graph
         n, m = g.n, g.m
-        if alg == "mwm":
-            point = dict(point, alpha=point.get("alpha") or 2.0 + point["epsilon"])
+        if alg == "mwm" and point.get("alpha") is None:
+            point = dict(point, alpha=2.0 + point["epsilon"])
     run, value, bound = _algorithm(alg, g, point)
     opt, guarantee = bound(w)
     base = RandomStream(seed)
