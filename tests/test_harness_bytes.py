@@ -24,13 +24,13 @@ BIPARTITE = "2 3\n1.0 0.2 0.1\n0.3 0.9 0.2\n"
 CLI_RUNS = {
     "mst": (["mst", "--input", "g.txt", "--epsilon", "0.2", "--epsilon", "0.5",
              "--perturb-edge", "4", "--delta", "0.05"],
-            "a1018c28493e105c67c4c07f50d02dd75cf95f98e9d89f2f5a94eddf8322d4b4"),
+            "e8b19c0b85a237b19ee829063e6ee2d96417d95269feef41786a88688c6ea10d"),
     "mst-pointwise": (["mst", "--input", "g.txt", "--epsilon", "0.5", "--pointwise",
                        "--perturb-edge", "4", "--delta", "0.05"],
                       "bb733c694dc2347a7c8d4caea197556a138e0df652c3c3778aa99eaa853a293b"),
     "mwm": (["mwm", "--input", "g.txt", "--epsilon", "0.1", "--epsilon", "0.5",
              "--perturb-edge", "3", "--delta", "0.05"],
-            "a3d0e8fb93e4733070524b7cd5f86518062dafb0cd3fe35ecc8d2fc59532020f"),
+            "b49a544b8ea255cba51a3f15f47a811f4d139ebb36908fbd976bd80f47899973"),
     "sp": (["sp", "--input", "g.txt", "--source", "0", "--target", "5", "--epsilon", "0.5",
             "--perturb-edge", "4", "--delta", "0.02"],
            "7b6c0b1fc9909a3afae2c23ff74fb6afd9d6adf12d906a62c6a404ae961efd05"),
@@ -80,7 +80,7 @@ def _estimates():
 
 
 ESTIMATE_DIGESTS = {
-    "mst-weighted": "8a2bcced841e5ae75d71bebebd409b344b678bbac2c7a3ebfdd691f646fd6abd",
+    "mst-weighted": "ffa91951e62f5c68852d54312b41ebcaee7c4f8b0c9fa204c892055346938022",
     "pmst-unweighted": "f9c5fd3d605805a50e9da89ecd4adce0dbc379ac0ebd1aed7ed29b75277f6940",
     "sp-weighted": "f2a28ea76821743d3ba4058bc87852ca57ee5317b2f8ef13e56ddee52b0f9988",
     "mwm-weighted": "b1628d7bc9f73dbbc9b21c97bf8b746e1f11e84aa9f62fc92313d443a4081a7d",

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipgraph import metrics
 from lipgraph.errors import SupportTooLarge
 from lipgraph.metrics import (
+    MAX_ASSIGNMENT_SAMPLES,
     EdgeSetDistribution,
     canonical_outcome,
     d_u,
@@ -183,3 +185,113 @@ def test_transportation_rectangular():
     # row0: 0.25 -> col0 free, 0.25 -> col1 at 1; row1: 0.25 -> col1 free,
     # 0.25 -> col2 at 1; total 0.5 (checked by enumerating basic solutions)
     assert got == pytest.approx(0.5)
+
+
+def _draw_samples(rng, n, pool):
+    return [pool[i] for i in rng.integers(0, len(pool), n)]
+
+
+def _pool(rng, k, m=10, size=4):
+    """k distinct random edge multisets over ids 0..m-1."""
+    out = set()
+    while len(out) < k:
+        edges = rng.choice(m, size=size, replace=False)
+        out.add(tuple(sorted((int(e), int(rng.integers(1, 3))) for e in edges)))
+    return [Counter(dict(o)) for o in sorted(out)]
+
+
+def _costs(rng, m=10):
+    w1 = rng.integers(1, 9, m) / 3.0
+    return {"unweighted": unweighted_cost, "weighted": weighted_cost(w1, w1 * 1.1 + 0.05)}
+
+
+def _assert_assignment_equals_lp(p, q, cost):
+    got = emd_empirical(p, q, cost)
+    c = metrics._cost_matrix(p, q, cost)
+    want = transportation_cost(np.asarray(p.probs), np.asarray(q.probs), c)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cost_name", ["unweighted", "weighted"])
+def test_assignment_emd_equals_lp_narrow_supports(seed, cost_name):
+    rng = np.random.default_rng(seed)
+    cost = _costs(rng)[cost_name]
+    for n in (1, 2, 7, 40, MAX_ASSIGNMENT_SAMPLES):
+        pool = _pool(rng, int(rng.integers(2, 6)))
+        p = EdgeSetDistribution.from_samples(_draw_samples(rng, n, pool))
+        q = EdgeSetDistribution.from_samples(_draw_samples(rng, n, pool))
+        _assert_assignment_equals_lp(p, q, cost)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cost_name", ["unweighted", "weighted"])
+def test_assignment_emd_equals_lp_wide_supports(seed, cost_name):
+    rng = np.random.default_rng(100 + seed)
+    cost = _costs(rng, m=30)[cost_name]
+    for n in (3, 20, 60):
+        pool = _pool(rng, 2 * n, m=30, size=6)
+        order = rng.permutation(2 * n)
+        p = EdgeSetDistribution.from_samples([pool[i] for i in order[:n]])
+        q = EdgeSetDistribution.from_samples([pool[i] for i in order[n:]])
+        assert p.support_size == q.support_size == n
+        _assert_assignment_equals_lp(p, q, cost)
+
+
+@pytest.mark.parametrize("cost_name", ["unweighted", "weighted"])
+def test_assignment_emd_equals_lp_with_ties(cost_name):
+    # single-edge outcomes of unit weight: every off-diagonal pair costs the same
+    rng = np.random.default_rng(7)
+    cost = unweighted_cost if cost_name == "unweighted" else weighted_cost(np.ones(6), np.ones(6))
+    pool = [Counter({e: 1}) for e in range(6)]
+    for n in (5, 30, 200):
+        p = EdgeSetDistribution.from_samples(_draw_samples(rng, n, pool))
+        q = EdgeSetDistribution.from_samples(_draw_samples(rng, n, pool[2:]))
+        _assert_assignment_equals_lp(p, q, cost)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_vectorized_cost_matrix_equals_pair_loop(seed):
+    rng = np.random.default_rng(200 + seed)
+    p = EdgeSetDistribution.from_samples(_draw_samples(rng, 30, _pool(rng, 12)) + [Counter()])
+    q = EdgeSetDistribution.from_samples(_draw_samples(rng, 25, _pool(rng, 9, m=14)))
+    for cost in _costs(rng, m=14).values():
+        got = metrics._cost_matrix(p, q, cost)
+        want = np.array([[cost(mi, mj) for mj in q.multisets()] for mi in p.multisets()])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_distribution_counts_only_from_samples():
+    dist = EdgeSetDistribution.from_samples([{1: 1}, {1: 1}, {2: 1}])
+    assert dist.counts == (2, 1)
+    assert EdgeSetDistribution.from_pairs([({1: 1}, 0.5), ({2: 1}, 0.5)]).counts is None
+    assert EdgeSetDistribution.from_text(dist.to_text()).counts is None
+
+
+def test_emd_solver_routing(monkeypatch):
+    calls = []
+    lp = metrics.transportation_cost
+
+    def spy(*args):
+        calls.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(metrics, "transportation_cost", spy)
+    rng = np.random.default_rng(3)
+    pool = _pool(rng, 4)
+
+    def samples(n):
+        return EdgeSetDistribution.from_samples(_draw_samples(rng, n, pool))
+
+    def reaches_lp(p, q):
+        calls.clear()
+        emd_empirical(p, q, unweighted_cost)
+        return len(calls) == 1
+
+    assert not reaches_lp(samples(1), samples(1))
+    assert not reaches_lp(samples(37), samples(37))
+    assert not reaches_lp(samples(MAX_ASSIGNMENT_SAMPLES), samples(MAX_ASSIGNMENT_SAMPLES))
+    assert reaches_lp(samples(MAX_ASSIGNMENT_SAMPLES + 1), samples(MAX_ASSIGNMENT_SAMPLES + 1))
+    assert reaches_lp(samples(15), samples(16))
+    p = samples(20)
+    assert reaches_lp(EdgeSetDistribution.from_pairs(zip(p.multisets(), p.probs)), samples(20))
