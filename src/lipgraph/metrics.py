@@ -10,8 +10,8 @@ solvers chosen from the input alone:
   equal size, n <= MAX_ASSIGNMENT_SAMPLES), the EMD is a min-cost perfect
   matching of the samples divided by n (Peyre & Cuturi, *Computational
   Optimal Transport*, 2019, section 2.2), solved by ``linear_sum_assignment``.
-  This is the case the stability harness produces, and it is milliseconds
-  where the LP's fixed cost alone is a few.
+  This is the case the stability harness produces; there the assignment
+  takes microseconds to milliseconds, where the LP costs at least about 2 ms.
 - Everything else (probabilities given as pairs, unequal sample counts,
   larger n) is a transportation linear program, whose size grows with the
   supports and not with n.
