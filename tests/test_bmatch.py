@@ -261,6 +261,17 @@ def test_plip_mwbm_converges_at_small_epsilon(seed):
     assert float((w * res.lp.x).sum()) >= (1 - 2 * eps) * res.opt - 1e-7
 
 
+def test_plip_mwbm_converges_on_wide_range_weights():
+    # lognormal weights up to 3.7e3: the duals scale with w, so slackness
+    # |lam (1 - rows)| stalls near 3e-9, above an absolute 1e-9
+    s, eps = 14, 0.05
+    w = np.exp(np.random.default_rng(s).normal(0, 3, (8, 8)))
+    res = plip_mwbm(8, 8, w, eps, RandomStream(s).sub(eps))
+    assert res.lp.max_violation < 1e-9
+    assert res.lp.comp_slack < 1e-9 * w.max()
+    assert float((w * res.lp.x).sum()) >= (1 - 2 * eps) * res.opt - 1e-7 * w.max()
+
+
 def test_plip_mwbm_fractional_guarantee_every_seed():
     gen = np.random.default_rng(6)
     w = gen.random((3, 4))
