@@ -126,7 +126,8 @@ def solve_lp_ent(
     """Solve the entropy-regularized relaxation to KKT residual ``tol``.
 
     Residuals driven below tol: positive row/column sum excess and
-    complementary slackness |dual * (1 - sum)|.  The stationarity identity
+    complementary slackness |dual * (1 - sum)| divided by max(1, max(w)),
+    since the duals scale with w.  The stationarity identity
     x = exp((w - lam - mu)/B - 1) holds exactly by construction.
 
     Annealed projected Newton: stages at B_0 = max(w) > ... > B_k = b_reg,
@@ -143,6 +144,7 @@ def solve_lp_ent(
     if not np.all(np.isfinite(w) & (w >= 0)):
         raise BadParams("weights must be finite and nonnegative")
     top = float(w.max(initial=0.0))
+    cs_scale = max(1.0, top)  # the duals, and so the slackness, scale with w
     stages = math.ceil(math.log(top / b_reg) / -math.log(_STAGE_FACTOR)) if top > b_reg else 0
     theta = np.zeros(nu + nv)
     steps = 0
@@ -153,7 +155,7 @@ def solve_lp_ent(
             x = _x_from_duals(w, theta[:nu], theta[nu:], b)
             for i in range(_MAX_STEPS + 1):
                 viol, cs = _residuals(x, theta[:nu], theta[nu:])
-                if max(viol, cs) < (tol if k == 0 else _STAGE_TOL) or i == _MAX_STEPS:
+                if max(viol, cs / cs_scale) < (tol if k == 0 else _STAGE_TOL) or i == _MAX_STEPS:
                     break
                 step = _newton_step(w, theta, x, b)
                 if step is None:
@@ -162,7 +164,7 @@ def solve_lp_ent(
                 steps += 1
                 if k == 0 and dual_history is not None:
                     dual_history.append(float(theta.sum() + b_reg * x.sum()))
-    if max(viol, cs) >= tol:
+    if max(viol, cs / cs_scale) >= tol:
         raise NoConvergence(f"no convergence after {steps} Newton steps", residuals=(viol, cs))
     return EntMatchingLP(x, theta[:nu], theta[nu:], b_reg, steps, viol, cs)
 
