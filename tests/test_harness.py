@@ -302,6 +302,31 @@ def test_cli_check_passes_correct_stability_run(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
 
 
+def test_check_nulls_stay_on_the_assignment_at_odd_trials(tmp_path, monkeypatch, capsys):
+    # 401 trials: the main EMD (n > 400) is an LP, but the split-half nulls
+    # must compare equal halves, which the assignment solves
+    from lipgraph import metrics
+
+    calls = []
+    lp = metrics.transportation_cost
+
+    def spy(*args):
+        calls.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(metrics, "transportation_cost", spy)
+    inst = gen_instance("random-gnm", {"n": 8, "m": 16}, 12)
+    path = tmp_path / "g.txt"
+    path.write_text(write_edge_list(inst.graph, inst.weights))
+    args = ["mst", "--input", str(path), "--epsilon", "0.5", "--perturb-edge", "4",
+            "--delta", "0.05", "--trials", "401", "--seed", "5"]
+    assert cli_main(args) == 0
+    without_check = len(calls)
+    calls.clear()
+    assert cli_main(args + ["--check"]) == 0, capsys.readouterr().err
+    assert len(calls) == without_check
+
+
 def test_check_rejects_broken_coupling(tmp_path, monkeypatch, capsys):
     # two parallel edges: edge 0 always wins at w, edge 1 always wins at w2,
     # so EMD = coupled = 2 with zero stderr and zero split-half nulls
