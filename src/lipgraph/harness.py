@@ -305,9 +305,10 @@ def _estimate(metric, delta, trials, seed, pair, single, cost):
     ``pair(stream)`` returns a coupled (p, q) pair of output multisets,
     ``single(side, stream)`` one independent output of a side, and
     ``cost(a, b)`` the distance between outputs of sides a and b.  Returns
-    the estimate and ``null()``: the summed EMD between the two halves of
-    each side's samples, which bounds the plug-in EMD's sampling bias in
-    expectation.  Nothing is solved for the null unless it is called.
+    the estimate and ``null()``: the summed EMD between the two equal halves
+    of each side's samples (an odd last sample is left out, so both halves
+    stay on the assignment solver), which bounds the plug-in EMD's sampling
+    bias in expectation.  Nothing is solved for the null unless it is called.
     """
     base = RandomStream(seed)
     pq = cost("p", "q")
@@ -319,7 +320,7 @@ def _estimate(metric, delta, trials, seed, pair, single, cost):
         h = trials // 2
         return sum(
             emd_empirical(
-                EdgeSetDistribution.from_samples(s[:h]), EdgeSetDistribution.from_samples(s[h:]),
+                EdgeSetDistribution.from_samples(s[:h]), EdgeSetDistribution.from_samples(s[h : 2 * h]),
                 cost(side, side),
             )
             for side, s in samples.items()
