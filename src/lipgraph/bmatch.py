@@ -42,17 +42,6 @@ def _x_from_duals(w, lam, mu, b_reg):
     return np.exp((w - lam[:, None] - mu[None, :]) / b_reg - 1.0)
 
 
-def _residuals(x, lam, mu):
-    rows = x.sum(axis=1)
-    cols = x.sum(axis=0)
-    viol = max(float(np.max(rows - 1.0, initial=0.0)), float(np.max(cols - 1.0, initial=0.0)))
-    cs = max(
-        float(np.max(np.abs(lam * (1.0 - rows)), initial=0.0)),
-        float(np.max(np.abs(mu * (1.0 - cols)), initial=0.0)),
-    )
-    return max(viol, 0.0), cs
-
-
 _STAGE_FACTOR = 0.1  # smallest ratio B_{k+1} / B_k between annealing stages
 _STAGE_TOL = 0.3  # KKT residual at which an intermediate stage hands over
 _MAX_STEPS = 100  # Newton steps allowed per stage
@@ -61,19 +50,50 @@ _MAX_MOVE = 10.0  # largest dual move per step, in units of B
 _FLAT = 1e-12  # relative Hessian eigenvalue below which a direction counts as flat
 
 
-def _newton_step(w, theta, x, b_reg):
+def _free_direction(x, root, free, rhs):
+    """Solve the free block of the scaled dual Hessian, flat directions at 1.
+
+    The Hessian [[diag(r), X], [X^T, diag(c)]] / B, scaled by 1/root =
+    1/sqrt(sums) to unit diagonal and masked to the free duals, is positive
+    definite when some dual is active.  With every dual free it is flat
+    along v = (sqrt(r), -sqrt(c)) (row i of it times v is sqrt(r_i) -
+    r_i / sqrt(r_i) = 0), and adding v v^T / |v|^2 lifts that eigenvalue to
+    the diagonal's 1, so one Cholesky solve suffices.
+    """
+    from scipy.linalg.lapack import dposv
+
+    nu = x.shape[0]
+    inv = free / root
+    hess = np.eye(len(root))
+    hess[:nu, nu:] = x * inv[:nu, None] * inv[nu:]
+    hess[nu:, :nu] = hess[:nu, nu:].T
+    if free.all():
+        v = root / math.sqrt(root @ root)
+        v[nu:] *= -1.0
+        hess += v[:, None] * v
+    chol, z, info = dposv(hess, rhs)
+    if info or chol.diagonal().min() ** 2 <= _FLAT:
+        # fallback when the factorization fails or a pivot is flat (the
+        # smallest eigenvalue is at most the smallest squared pivot): x tiny
+        # or 0 beside its row and column sums splits the block into
+        # components, each flat along its own (sqrt(r), -sqrt(c))
+        ev, vec = np.linalg.eigh(hess)
+        ev[ev <= _FLAT * ev[-1]] = 1.0
+        z = vec @ ((vec.T @ rhs) / ev)
+    return z
+
+
+def _newton_step(w, theta, x, sums, b_reg):
     """One projected Newton step on the dual D(theta) = sum(theta) + B sum(x).
 
-    Duals within eps of zero whose gradient pushes them down go to zero, the
-    others take a Newton step; Armijo along the projection arc picks the
-    length.  Returns (theta, x), or None when no length passes.
+    ``sums`` holds the row then column sums of x.  Duals within eps of zero
+    whose gradient pushes them down go to zero, the others take a Newton
+    step; Armijo along the projection arc picks the length.  Returns
+    (theta, x), or None when no length passes.
     """
     nu, nv = x.shape
-    rows = x.sum(axis=1)
-    cols = x.sum(axis=0)
-    sums = np.concatenate([rows, cols])
     grad = 1.0 - sums
-    if nu != nv and np.all(theta > 0.0):
+    if nu != nv and (theta > 0.0).all():
         # D falls linearly along (1_U, -1_V) with slope |nU - nV| and x stays
         # put: move along it until the first dual reaches zero
         t = theta[:nu].min() if nu > nv else -theta[nu:].min()
@@ -83,33 +103,27 @@ def _newton_step(w, theta, x, b_reg):
     active = (theta <= eps) & (grad > 0.0)
     free = ~active
     grad_free = grad * free
-    # Free block of the Hessian [[diag(r), X], [X^T, diag(c)]] / B scaled to
-    # unit diagonal.  It is flat along (1_U, -1_V) on any connected set of
-    # free duals, so flat eigenvalues take the diagonal's value 1 instead.
-    hess = np.eye(nu + nv)
-    hess[:nu, nu:] = x / np.sqrt(np.maximum(rows[:, None] * cols[None, :], 1e-300))
-    hess[:nu, nu:] *= free[:nu, None] & free[None, nu:]
-    hess[nu:, :nu] = hess[:nu, nu:].T
-    ev, vec = np.linalg.eigh(hess)
-    ev[ev <= _FLAT * ev[-1]] = 1.0
-    scale = np.sqrt(b_reg / np.maximum(sums, 1e-300))
-    d = np.where(active, -theta, -scale * (vec @ ((vec.T @ (scale * grad_free)) / ev)))
+    root = np.sqrt(np.maximum(sums, 1e-300))
+    scale = math.sqrt(b_reg) / root
+    d = np.where(active, -theta, -scale * _free_direction(x, root, free, scale * grad_free))
     # no dual moves more than _MAX_MOVE * B: clip each, or if that spoils
     # descent, shorten the whole step
     cap = _MAX_MOVE * b_reg
-    clipped = d.clip(-cap, cap)
-    if grad_free @ clipped < 0.0:
-        d = clipped
-    slope = float(grad_free @ d)
     alpha = cap / max(cap, float(np.abs(d).max()))
+    if alpha < 1.0:
+        clipped = d.clip(-cap, cap)
+        if grad_free @ clipped < 0.0:
+            d, alpha = clipped, 1.0
+    slope = float(grad_free @ d)
+    grad_active = grad - grad_free
     for _ in range(50):
         cand = np.maximum(theta + alpha * d, 0.0)
         move = cand - theta
         # D(theta) - D(cand), without cancellation against D itself
         dec = -move.sum() - b_reg * float(
-            np.sum(x * np.expm1(-(move[:nu, None] + move[None, nu:]) / b_reg))
+            (x * np.expm1(-(move[:nu, None] + move[None, nu:]) / b_reg)).sum()
         )
-        if dec >= _ARMIJO * (-alpha * slope - float((grad - grad_free) @ move)):
+        if dec >= _ARMIJO * (-alpha * slope - float(grad_active @ move)):
             return cand, _x_from_duals(w, cand[:nu], cand[nu:], b_reg)
         alpha *= 0.5
     return None
@@ -154,10 +168,12 @@ def solve_lp_ent(
             b = b_reg * (top / b_reg) ** (k / stages) if k else b_reg
             x = _x_from_duals(w, theta[:nu], theta[nu:], b)
             for i in range(_MAX_STEPS + 1):
-                viol, cs = _residuals(x, theta[:nu], theta[nu:])
+                sums = np.concatenate((x.sum(axis=1), x.sum(axis=0)))
+                viol = float(sums.max(initial=1.0)) - 1.0
+                cs = float(np.abs(theta * (1.0 - sums)).max(initial=0.0))
                 if max(viol, cs / cs_scale) < (tol if k == 0 else _STAGE_TOL) or i == _MAX_STEPS:
                     break
-                step = _newton_step(w, theta, x, b)
+                step = _newton_step(w, theta, x, sums, b)
                 if step is None:
                     break
                 theta, x = step
