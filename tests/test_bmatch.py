@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lipgraph.bmatch import (
+    _free_direction,
     collision_value,
     coupled_plip_mwbm,
     lp_stability_check,
@@ -87,6 +88,65 @@ def test_lp_rejects_bad_input():
         solve_lp_ent(2, 1, [[1.0]], 0.5)
     with pytest.raises(BadParams):
         solve_lp_ent(1, 2, [[1.0, np.inf]], 0.5)
+
+
+# --- Newton system -------------------------------------------------------------
+
+
+def _eigh_direction(x, free, rhs):
+    """Reference: eigh of the scaled, masked free block, flat eigenvalues set to 1."""
+    nu = x.shape[0]
+    sums = np.concatenate([x.sum(axis=1), x.sum(axis=0)])
+    hess = np.eye(len(sums))
+    hess[:nu, nu:] = x / np.sqrt(np.outer(sums[:nu], sums[nu:])) * np.outer(free[:nu], free[nu:])
+    hess[nu:, :nu] = hess[:nu, nu:].T
+    ev, vec = np.linalg.eigh(hess)
+    ev[ev <= 1e-12 * ev[-1]] = 1.0
+    return vec @ ((vec.T @ rhs) / ev)
+
+
+def _direction_with_eigh_count(monkeypatch, x, free, rhs):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    sums = np.concatenate([x.sum(axis=1), x.sum(axis=0)])
+    z = _free_direction(x, np.sqrt(sums), free, rhs)
+    monkeypatch.undo()
+    return z, len(calls)
+
+
+@pytest.mark.parametrize("case", ["all free, nU = nV", "all free, nU != nV", "some active"])
+def test_newton_direction_matches_eigh_reference(monkeypatch, case):
+    gen = np.random.default_rng(11)
+    for _ in range(40):
+        nu = int(gen.integers(1, 9))
+        nv = nu if case == "all free, nU = nV" else int(gen.integers(1, 9))
+        if case == "all free, nU != nV" and nv == nu:
+            nv = nu + 1
+        x = np.exp(gen.normal(-1.0, 1.5, (nu, nv)))
+        free = np.ones(nu + nv, dtype=bool)
+        if case == "some active":
+            free[gen.choice(nu + nv, int(gen.integers(1, nu + nv + 1)), replace=False)] = False
+        rhs = gen.normal(size=nu + nv) * free
+        want = _eigh_direction(x, free, rhs)
+        got, eigh_calls = _direction_with_eigh_count(monkeypatch, x, free, rhs)
+        assert eigh_calls == 0
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_newton_direction_falls_back_on_disconnected_block(monkeypatch):
+    # block-diagonal x: two components, each flat along its own direction,
+    # so the block stays singular after the one flat term and Cholesky fails
+    gen = np.random.default_rng(12)
+    x = np.zeros((5, 5))
+    x[:2, :3] = gen.random((2, 3)) + 0.1
+    x[2:, 3:] = gen.random((3, 2)) + 0.1
+    free = np.ones(10, dtype=bool)
+    rhs = gen.normal(size=10)
+    want = _eigh_direction(x, free, rhs)
+    got, eigh_calls = _direction_with_eigh_count(monkeypatch, x, free, rhs)
+    assert eigh_calls == 1
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 # --- stability ----------------------------------------------------------------
@@ -261,15 +321,41 @@ def test_plip_mwbm_converges_at_small_epsilon(seed):
     assert float((w * res.lp.x).sum()) >= (1 - 2 * eps) * res.opt - 1e-7
 
 
-def test_plip_mwbm_converges_on_wide_range_weights():
-    # lognormal weights up to 3.7e3: the duals scale with w, so slackness
-    # |lam (1 - rows)| stalls near 3e-9, above an absolute 1e-9
-    s, eps = 14, 0.05
+@pytest.mark.parametrize("s, eps", [(14, 0.05), (3, 0.001)])
+def test_plip_mwbm_converges_on_wide_range_weights(s, eps):
+    # lognormal weights up to 2e4: the duals scale with w, so slackness
+    # |lam (1 - rows)| stalls at 1e-9 to 1e-8, above an absolute 1e-9
     w = np.exp(np.random.default_rng(s).normal(0, 3, (8, 8)))
     res = plip_mwbm(8, 8, w, eps, RandomStream(s).sub(eps))
     assert res.lp.max_violation < 1e-9
     assert res.lp.comp_slack < 1e-9 * w.max()
     assert float((w * res.lp.x).sum()) >= (1 - 2 * eps) * res.opt - 1e-7 * w.max()
+
+
+def test_plip_mwbm_converges_on_robustness_families():
+    # shapes up to 8x8 at three epsilons, on four weight families: uniform,
+    # small integers (ties), sparse x100 (entries of x underflow) and
+    # lognormal (weights over four orders of magnitude)
+    gen = np.random.default_rng(2024)
+    families = {
+        "uniform": lambda shape: gen.random(shape),
+        "integer": lambda shape: gen.integers(0, 10, shape).astype(float),
+        "sparse": lambda shape: gen.random(shape) * (gen.random(shape) < 0.3) * 100,
+        "lognormal": lambda shape: np.exp(gen.normal(0, 3, shape)),
+    }
+    solved = 0
+    for draw in families.values():
+        for eps in (0.05, 0.01, 0.001):
+            for k in range(40):
+                nu, nv = int(gen.integers(1, 9)), int(gen.integers(2, 9))
+                w = draw((nu, nv))
+                res = plip_mwbm(nu, nv, w, eps, RandomStream(k).sub(eps))
+                if res.zero_optimum:
+                    continue
+                assert res.lp.max_violation < 1e-9
+                assert res.lp.comp_slack < 1e-9 * max(1.0, w.max())
+                solved += 1
+    assert solved >= 400
 
 
 def test_plip_mwbm_fractional_guarantee_every_seed():
