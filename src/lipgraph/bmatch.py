@@ -9,7 +9,13 @@ from the row marginals, then resolves collisions uniformly per column.
 
 Solver: projected Newton on the duals (Bertsekas 1982), annealed over B
 from max(w) down to the requested weight, as in epsilon-scaling (Schmitzer,
-arXiv:1610.06519), so that every stage starts near its optimum.
+arXiv:1610.06519), so that every stage starts near its optimum.  A step
+solves the free block of the Hessian [[diag(r), X], [X^T, diag(c)]] / B,
+scaled to unit diagonal, by one Cholesky solve.  With every dual free the
+block is flat along v = (sqrt(r), -sqrt(c)) (row i times v is sqrt(r_i) -
+r_i / sqrt(r_i) = 0), so v v^T / |v|^2 is added to give v eigenvalue 1.
+eigh, with flat eigenvalues set to 1, runs only when the factorization
+fails or a squared pivot is at most 1e-12.
 """
 
 from __future__ import annotations
@@ -51,15 +57,8 @@ _FLAT = 1e-12  # relative Hessian eigenvalue below which a direction counts as f
 
 
 def _free_direction(x, root, free, rhs):
-    """Solve the free block of the scaled dual Hessian, flat directions at 1.
-
-    The Hessian [[diag(r), X], [X^T, diag(c)]] / B, scaled by 1/root =
-    1/sqrt(sums) to unit diagonal and masked to the free duals, is positive
-    definite when some dual is active.  With every dual free it is flat
-    along v = (sqrt(r), -sqrt(c)) (row i of it times v is sqrt(r_i) -
-    r_i / sqrt(r_i) = 0), and adding v v^T / |v|^2 lifts that eigenvalue to
-    the diagonal's 1, so one Cholesky solve suffices.
-    """
+    """Solve the free block of the dual Hessian, scaled by 1/root = 1/sqrt(sums)
+    to unit diagonal, for rhs; flat directions take eigenvalue 1."""
     from scipy.linalg.lapack import dposv
 
     nu = x.shape[0]
@@ -67,16 +66,15 @@ def _free_direction(x, root, free, rhs):
     hess = np.eye(len(root))
     hess[:nu, nu:] = x * inv[:nu, None] * inv[nu:]
     hess[nu:, :nu] = hess[:nu, nu:].T
-    if free.all():
+    if free.all():  # flat along v = (sqrt(r), -sqrt(c)): lift it to 1
         v = root / math.sqrt(root @ root)
         v[nu:] *= -1.0
         hess += v[:, None] * v
     chol, z, info = dposv(hess, rhs)
     if info or chol.diagonal().min() ** 2 <= _FLAT:
-        # fallback when the factorization fails or a pivot is flat (the
-        # smallest eigenvalue is at most the smallest squared pivot): x tiny
-        # or 0 beside its row and column sums splits the block into
-        # components, each flat along its own (sqrt(r), -sqrt(c))
+        # fallback when the factorization fails or a pivot is flat (the least
+        # eigenvalue is at most the least squared pivot): x that underflows
+        # beside its sums splits the block into flat components
         ev, vec = np.linalg.eigh(hess)
         ev[ev <= _FLAT * ev[-1]] = 1.0
         z = vec @ ((vec.T @ rhs) / ev)
@@ -115,7 +113,6 @@ def _newton_step(w, theta, x, sums, b_reg):
         if grad_free @ clipped < 0.0:
             d, alpha = clipped, 1.0
     slope = float(grad_free @ d)
-    grad_active = grad - grad_free
     for _ in range(50):
         cand = np.maximum(theta + alpha * d, 0.0)
         move = cand - theta
@@ -123,7 +120,7 @@ def _newton_step(w, theta, x, sums, b_reg):
         dec = -move.sum() - b_reg * float(
             (x * np.expm1(-(move[:nu, None] + move[None, nu:]) / b_reg)).sum()
         )
-        if dec >= _ARMIJO * (-alpha * slope - float(grad_active @ move)):
+        if dec >= _ARMIJO * (-alpha * slope - float((grad - grad_free) @ move)):
             return cand, _x_from_duals(w, cand[:nu], cand[nu:], b_reg)
         alpha *= 0.5
     return None
