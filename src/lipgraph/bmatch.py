@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import couple_discrete, max_overlap_uniform_pair
-from .errors import BadParams, DegenerateShape, NoConvergence, ZeroOptimum
+from .errors import BadParams, DegenerateShape, InvalidEdge, NoConvergence, ZeroOptimum
 from .exact import hungarian_bipartite
+from .graphs import check_weights
 from .rng import RandomStream
 
 
@@ -147,13 +148,9 @@ def solve_lp_ent(
     when it runs out of steps.  ``dual_history`` collects the dual objective
     after each step of the last stage (it never increases).
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (nu, nv):
-        raise BadParams(f"weight matrix shape {w.shape}, expected ({nu},{nv})")
+    w = check_weights((nu, nv), w)
     if b_reg <= 0:
         raise BadParams("regularization weight must be positive")
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise BadParams("weights must be finite and nonnegative")
     top = float(w.max(initial=0.0))
     cs_scale = max(1.0, top)  # the duals, and so the slackness, scale with w
     stages = math.ceil(math.log(top / b_reg) / -math.log(_STAGE_FACTOR)) if top > b_reg else 0
@@ -260,9 +257,7 @@ def plip_mwbm(
         raise BadParams("epsilon must lie in (0, 1/2)")
     if nv < 2:
         raise DegenerateShape("need at least two right-side vertices")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (nu, nv):
-        raise BadParams(f"weight matrix shape {w.shape}, expected ({nu},{nv})")
+    w = check_weights((nu, nv), w)
     _, opt = hungarian_bipartite(w)
     if opt <= 0:
         return BipartiteMatchResult((), None, None, 0.0, 0.0, zero_optimum=True)
@@ -328,7 +323,9 @@ def coupled_plip_mwbm(
         raise BadParams("epsilon must lie in (0, 1/2)")
     if nv < 2:
         raise DegenerateShape("need at least two right-side vertices")
-    w = np.asarray(w, dtype=float)
+    w = check_weights((nu, nv), w)
+    if not (0 <= f[0] < nu and 0 <= f[1] < nv):
+        raise InvalidEdge(f"cell {f} out of range")
     w2 = w.copy()
     w2[f] += delta
     _, opt1 = hungarian_bipartite(w)

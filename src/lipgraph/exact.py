@@ -28,7 +28,10 @@ def dijkstra(g: WeightedMultigraph, w, s: int) -> tuple[list, list]:
     reach v in the shortest-path tree (-1 at s and unreachable vertices).
     Ties resolve toward the lexicographically smaller (dist, vertex) pop.
     """
-    w = check_weights(g, w)
+    return _dijkstra(g, check_weights(g, w), s)
+
+
+def _dijkstra(g, w, s):
     dist = [_INF] * g.n
     pred = [-1] * g.n
     dist[s] = 0.0
@@ -69,7 +72,10 @@ def dijkstra_walk(g: WeightedMultigraph, w, s: int, t: int) -> Walk | None:
 
 def kruskal_mst(g: WeightedMultigraph, w) -> SpanningTree:
     """Minimum spanning tree; ties broken by ascending edge id."""
-    w = check_weights(g, w)
+    return _kruskal(g, check_weights(g, w))
+
+
+def _kruskal(g, w):
     order = sorted(range(g.m), key=lambda e: (w[e], e))
     parent = list(range(g.n))
 

@@ -13,19 +13,33 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParams, NotContractible, SelfLoop
+from .errors import BadParams, InvalidEdge, NotContractible, SelfLoop
 
 _INF = float("inf")
 
 
 def check_weights(g, w) -> np.ndarray:
-    """Validate a weight vector against a graph and return it as an array."""
+    """The one weight rule: finite, nonnegative, and shaped as ``g`` says.
+
+    ``g`` is a graph (a vector of length g.m), a bipartite shape (nU, nV),
+    or None (a bipartite matrix of any shape).  Public functions apply the
+    rule once per call; the private cores behind them trust their arrays.
+    Returns w as a float array; raises BadParams.
+    """
     w = np.asarray(w, dtype=float)
-    if w.shape != (g.m,):
-        raise BadParams(f"weight vector has length {w.shape}, expected ({g.m},)")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+    shape = g if g is None or isinstance(g, tuple) else (g.m,)
+    if (w.ndim != 2) if shape is None else (w.shape != shape):
+        raise BadParams(f"weights have shape {w.shape}, expected {shape or '(nU, nV)'}")
+    if not np.isfinite(w).all() or (w < 0).any():
         raise BadParams("weights must be finite and nonnegative")
     return w
+
+
+def check_edge(g, f: int) -> int:
+    """Return f if it is an edge id of g, else raise InvalidEdge."""
+    if not 0 <= f < g.m:
+        raise InvalidEdge(f"edge {f} out of range")
+    return f
 
 
 @dataclass(frozen=True)
@@ -609,7 +623,4 @@ def read_bipartite(text: str) -> np.ndarray:
         if len(row) != nv:
             raise BadParams(f"row has {len(row)} entries, expected {nv}")
         rows.append(row)
-    mat = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(mat)) or np.any(mat < 0):
-        raise BadParams("weights must be finite and nonnegative")
-    return mat
+    return check_weights((nu, nv), np.array(rows, dtype=float))

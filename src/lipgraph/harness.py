@@ -32,20 +32,21 @@ import numpy as np
 
 from .contraction_sp import sp
 from .errors import BadParams, InvalidEdge
-from .exact import dijkstra, exact_max_weight_matching, hungarian_bipartite, kruskal_mst
+from .exact import _dijkstra, _kruskal, exact_max_weight_matching, hungarian_bipartite
 from .graphs import (
     ContractionResult,
     WeightedMultigraph,
+    check_edge,
     check_weights,
     contract_edge,
     read_bipartite,
     read_edge_list,
 )
 from .metrics import EdgeSetDistribution, emd_empirical, unweighted_cost, weighted_cost
-from .mst import coupled_lip_mst, coupled_plip_mst, lip_mst, plip_mst
-from .mwm import coupled_lip_mwm, lip_mwm
+from .mst import _coupled_lip_mst, _coupled_plip_mst, _lip_mst, _plip_mst
+from .mwm import _coupled_lip_mwm, _lip_mwm
 from .bmatch import coupled_plip_mwbm, plip_mwbm
-from .lip_sp import coupled_lip_sp, lip_sp
+from .lip_sp import _coupled_lip_sp, _lip_sp
 from .rng import RandomStream
 
 CSV_SCHEMA_VERSION = "lipgraph-csv v1"
@@ -211,15 +212,16 @@ def _algorithm(alg: str, g, point: dict):
     ``value(out, w)`` its objective value, and ``bound(w)`` the exact
     optimum with the guarantee column's value.  The estimators use only
     ``run``, so no exact optimum is solved until ``bound`` is called.
+    Graph weights must have passed ``check_weights``: cores trust them.
     """
     if alg in ("mst", "pmst"):
-        eps, lip = point["epsilon"], lip_mst if alg == "mst" else plip_mst
+        eps, lip = point["epsilon"], _lip_mst if alg == "mst" else _plip_mst
         return (lambda w, rs: lip(g, w, eps, rs).tree, lambda out, w: out.weight(w),
-                lambda w: (kruskal_mst(g, w).weight(w), 1.0 + eps))
+                lambda w: (_kruskal(g, w).weight(w), 1.0 + eps))
     if alg == "sp":
         eps, s, t = point["epsilon"], point["source"], point["target"]
-        return (lambda w, rs: lip_sp(g, w, s, t, eps, rs), lambda out, w: out.weighted_length(w),
-                lambda w: (dijkstra(g, w, s)[0][t], 1.0 + eps))
+        return (lambda w, rs: _lip_sp(g, w, s, t, eps, rs), lambda out, w: out.weighted_length(w),
+                lambda w: (_dijkstra(g, w, s)[0][t], 1.0 + eps))
     if alg == "sp-unweighted":
         eps, s, t = point["epsilon"], point["source"], point["target"]
         override = point.get("gamma_override")
@@ -235,7 +237,7 @@ def _algorithm(alg: str, g, point: dict):
         alpha = point["alpha"]
         if alpha <= 2:  # checked here too: the guarantee 1/(4 alpha) is computed before any run
             raise BadParams("alpha must exceed 2")
-        return (lambda w, rs: lip_mwm(g, w, alpha, rs), lambda out, w: out.weight(w),
+        return (lambda w, rs: _lip_mwm(g, w, alpha, rs), lambda out, w: out.weight(w),
                 lambda w: (exact_max_weight_matching(g, w)[1], 1.0 / (4.0 * alpha)))
     if alg == "bmatch":
         eps = point["epsilon"]
@@ -246,18 +248,18 @@ def _algorithm(alg: str, g, point: dict):
 
 def _coupled_run(alg: str, g, w, f: int, delta: float, point: dict, stream: RandomStream):
     if alg == "mst":
-        t1, t2 = coupled_lip_mst(g, w, f, delta, point["epsilon"], stream)
+        t1, t2 = _coupled_lip_mst(g, w, f, delta, point["epsilon"], stream)
         return t1.multiset, t2.multiset
     if alg == "pmst":
-        r1, r2 = coupled_plip_mst(g, w, f, delta, point["epsilon"], stream)
+        r1, r2 = _coupled_plip_mst(g, w, f, delta, point["epsilon"], stream)
         return r1.tree.multiset, r2.tree.multiset
     if alg == "sp":
-        w1, w2 = coupled_lip_sp(
+        w1, w2 = _coupled_lip_sp(
             g, w, point["source"], point["target"], f, delta, point["epsilon"], stream
         )
         return w1.multiset, w2.multiset
     if alg == "mwm":
-        m1, m2, _ = coupled_lip_mwm(g, w, f, delta, point["alpha"], stream)
+        m1, m2, _ = _coupled_lip_mwm(g, w, f, delta, point["alpha"], stream)
         return m1.multiset, m2.multiset
     raise BadParams(f"no coupled adapter for algorithm {alg!r}")
 
@@ -350,8 +352,7 @@ def _lipschitz(alg, g, w, f, delta, trials, seed, metric, point):
     if metric not in ("weighted", "unweighted"):
         raise BadParams("metric must be 'weighted' or 'unweighted'")
     w = check_weights(g, w)
-    if not (0 <= f < g.m):
-        raise InvalidEdge(f"edge {f} out of range")
+    check_edge(g, f)
     point = dict(point or {})
     w2 = w.copy()
     w2[f] += perturbation_direction(alg) * delta
@@ -384,7 +385,7 @@ def estimate_bipartite_pointwise(
 
 
 def _bipartite(w, cell, delta, epsilon, trials, seed):
-    w = np.asarray(w, dtype=float)
+    w = check_weights(None, w)
     nu, nv = w.shape
     if delta <= 0:
         raise BadParams("delta must be positive")
@@ -424,9 +425,7 @@ def estimate_contraction_sensitivity(
     full keyed stream, so pivot draws align positionally across the two
     graphs; walks from G/e are translated back to original edge ids.
     """
-    if not (0 <= e < g.m):
-        raise InvalidEdge(f"edge {e} out of range")
-    u, v = g.edges[e]
+    u, v = g.edges[check_edge(g, e)]
     if u in (s, t) or v in (s, t):
         raise InvalidEdge("contracted edge must not touch the endpoints")
     cres: ContractionResult = contract_edge(g, e)
@@ -485,7 +484,8 @@ class CheckFailure(Exception):
 def _point_row(config: ExperimentConfig, point: dict) -> dict:
     """Ratios against the exact optimum, then stability estimates if perturbed."""
     inst, trials, seed = config.instance, config.trials, config.seed
-    w, bipartite = inst.weights, isinstance(inst, BipartiteInstance)
+    bipartite = isinstance(inst, BipartiteInstance)
+    w = check_weights(None if bipartite else inst.graph, inst.weights)
     if bipartite:
         alg, g, (n, m), cell = "bmatch", None, w.shape, point.get("cell")
         point = {"epsilon": point["epsilon"], "delta": point.get("delta"), "edge": cell,

@@ -35,8 +35,8 @@ import numpy as np
 from .contraction_sp import sp
 from .coupling import max_overlap_uniform_pair, shift_wrap
 from .errors import BadParams, LipgraphError, MalformedWalk, Unreachable
-from .exact import dijkstra
-from .graphs import DirectedGraph, Walk, WeightedMultigraph, check_weights
+from .exact import _dijkstra as _weighted_dijkstra
+from .graphs import DirectedGraph, Walk, WeightedMultigraph, check_edge, check_weights
 from .rng import RandomStream
 
 
@@ -176,21 +176,13 @@ def build_gadget(
     t: int,
     epsilon: float,
     rng: RandomStream,
-    opt: float | None = None,
 ) -> GadgetGraph:
-    """Sample (b, x) and build the gadget; requires positive s-t optimum.
-
-    ``opt`` may pass a precomputed s-t optimum to skip the oracle call.
-    """
+    """Sample (b, x) and build the gadget; requires positive s-t optimum."""
     w = check_weights(g, w)
-    if opt is None:
-        opt = dijkstra(g, w, s)[0][t]
-    if opt == float("inf"):
-        raise Unreachable(f"{t} unreachable from {s}")
+    opt = _optimum(g, w, s, t)
     if opt <= 0:
         raise BadParams("gadget construction needs a positive s-t optimum")
-    b, x = _sample_draws(g, epsilon, opt, rng)
-    return build_gadget_from(g, w, epsilon, b, x)
+    return build_gadget_from(g, w, epsilon, *_sample_draws(g, epsilon, opt, rng))
 
 
 def _sample_draws(g: WeightedMultigraph, epsilon: float, opt: float, rng: RandomStream):
@@ -482,7 +474,7 @@ class LipSpResult:
 
 
 def _optimum(g: WeightedMultigraph, w, s: int, t: int) -> float:
-    opt = dijkstra(g, w, s)[0][t]
+    opt = _weighted_dijkstra(g, w, s)[0][t]
     if opt == _INF:
         raise Unreachable(f"{t} unreachable from {s}")
     return opt
@@ -501,7 +493,7 @@ def lip_sp_run(
     opt = _optimum(g, w, s, t)
     if opt == 0.0:
         return LipSpResult(_zero_weight_walk(g, w, s, t), None, None, zero_optimum=True)
-    gadget = build_gadget(g, w, s, t, epsilon, rng, opt=opt)
+    gadget = build_gadget_from(g, w, epsilon, *_sample_draws(g, epsilon, opt, rng))
     hat_walk = sp(gadget.graph, s, t, epsilon / 4.0, rng)
     return LipSpResult(map_walk_back(gadget, hat_walk), gadget, hat_walk)
 
@@ -518,9 +510,12 @@ def lip_sp(
 
     Runs on the implicit gadget; the walk equals :func:`lip_sp_run`'s.
     """
+    return _lip_sp(g, check_weights(g, w), s, t, epsilon, rng)
+
+
+def _lip_sp(g, w, s, t, epsilon, rng):
     if not (0 < epsilon < 1):
         raise BadParams("epsilon must lie in (0, 1)")
-    w = check_weights(g, w)
     if s == t:
         return Walk(s, t, ())
     opt = _optimum(g, w, s, t)
@@ -562,13 +557,16 @@ def coupled_rounding_st(
     x(f) <= delta/b, and all other lengths coincide.  Requires
     delta <= eps*opt/(12 n) so delta never exceeds b.
     """
-    w = check_weights(g, w)
+    return _coupled_rounding(g, check_weights(g, w), s, t, check_edge(g, f), delta, epsilon, rng)
+
+
+def _coupled_rounding(g, w, s, t, f, delta, epsilon, rng):
     if delta <= 0:
         raise BadParams("delta must be positive")
     w2 = w.copy()
     w2[f] += delta
-    opt1 = dijkstra(g, w, s)[0][t]
-    opt2 = dijkstra(g, w2, s)[0][t]
+    opt1 = _weighted_dijkstra(g, w, s)[0][t]
+    opt2 = _weighted_dijkstra(g, w2, s)[0][t]
     if not (0 < opt1 < float("inf")) or not (0 < opt2 < float("inf")):
         raise BadParams("coupled rounding needs positive finite optima")
     if delta > epsilon * opt1 / (12.0 * g.n):
@@ -602,8 +600,9 @@ def coupled_lip_sp(
     The directed walk routine consumes the same keyed stream in both runs,
     so all pivot and gamma draws are shared positionally.
     """
-    cr = coupled_rounding_st(g, w, s, t, f, delta, epsilon, rng)
-    return (
-        _gadget_walk(g, cr.hat1, s, t, epsilon, rng),
-        _gadget_walk(g, cr.hat2, s, t, epsilon, rng),
-    )
+    return _coupled_lip_sp(g, check_weights(g, w), s, t, check_edge(g, f), delta, epsilon, rng)
+
+
+def _coupled_lip_sp(g, w, s, t, f, delta, epsilon, rng):
+    cr = _coupled_rounding(g, w, s, t, f, delta, epsilon, rng)
+    return tuple(_gadget_walk(g, hat, s, t, epsilon, rng) for hat in (cr.hat1, cr.hat2))

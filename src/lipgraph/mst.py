@@ -17,8 +17,8 @@ import numpy as np
 
 from .coupling import max_overlap_uniform_pair
 from .errors import BadParams
-from .exact import kruskal_mst
-from .graphs import SpanningTree, WeightedMultigraph, check_weights
+from .exact import _kruskal
+from .graphs import SpanningTree, WeightedMultigraph, check_edge, check_weights
 from .rng import RandomStream
 
 
@@ -36,13 +36,14 @@ class PlipMstResult:
     zero_optimum: bool = False
 
 
+def _draws(g, rng):
+    """The per-edge uniforms u(e) = rng.random("w", e) that every variant shares."""
+    return np.array([rng.random("w", e) for e in range(g.m)])
+
+
 def sample_hat_weights(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> np.ndarray:
     """One multiplicative weight sample: hat_w(e) ~ U[w(e), (1+eps) w(e)]."""
-    w = check_weights(g, w)
-    hat = np.empty(g.m, dtype=float)
-    for e in range(g.m):
-        hat[e] = w[e] * (1.0 + epsilon * rng.random("w", e))
-    return hat
+    return check_weights(g, w) * (1.0 + epsilon * _draws(g, rng))
 
 
 def lip_mst(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> LipMstResult:
@@ -50,11 +51,14 @@ def lip_mst(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> LipM
 
     Guarantee (per sample, every seed): w(tree) <= (1+eps) * opt.
     """
+    return _lip_mst(g, check_weights(g, w), epsilon, rng)
+
+
+def _lip_mst(g, w, epsilon, rng):
     if epsilon <= 0:
         raise BadParams("epsilon must be positive")
-    hat = sample_hat_weights(g, w, epsilon, rng)
-    tree = kruskal_mst(g, hat)
-    return LipMstResult(tree=tree, hat_weights=hat)
+    hat = w * (1.0 + epsilon * _draws(g, rng))
+    return LipMstResult(tree=_kruskal(g, hat), hat_weights=hat)
 
 
 def coupled_lip_mst_weights(
@@ -67,26 +71,19 @@ def coupled_lip_mst_weights(
     sampled values differ with probability exactly
     TV = (1+eps) * delta / (eps * (w(f)+delta)).
     """
-    w = check_weights(g, w)
+    return _coupled_weights(g, check_weights(g, w), check_edge(g, f), delta, epsilon, rng)
+
+
+def _coupled_weights(g, w, f, delta, epsilon, rng):
     if delta <= 0:
         raise BadParams("delta must be positive")
-    hat1 = np.empty(g.m, dtype=float)
-    hat2 = np.empty(g.m, dtype=float)
-    for e in range(g.m):
-        u = rng.random("w", e)
-        if e != f:
-            hat1[e] = hat2[e] = w[e] * (1.0 + epsilon * u)
-        else:
-            accept = rng.random("w", e, "accept")
-            x, y = max_overlap_uniform_pair(
-                u,
-                accept,
-                w[f],
-                (1.0 + epsilon) * w[f],
-                w[f] + delta,
-                (1.0 + epsilon) * (w[f] + delta),
-            )
-            hat1[e], hat2[e] = x, y
+    u = _draws(g, rng)
+    hat1 = w * (1.0 + epsilon * u)
+    hat2 = hat1.copy()
+    hat1[f], hat2[f] = max_overlap_uniform_pair(
+        u[f], rng.random("w", f, "accept"),
+        w[f], (1.0 + epsilon) * w[f], w[f] + delta, (1.0 + epsilon) * (w[f] + delta),
+    )
     return hat1, hat2
 
 
@@ -94,8 +91,12 @@ def coupled_lip_mst(
     g: WeightedMultigraph, w, f: int, delta: float, epsilon: float, rng: RandomStream
 ) -> tuple[SpanningTree, SpanningTree]:
     """One coupled pair of trees for (w, w + delta*1_f)."""
-    hat1, hat2 = coupled_lip_mst_weights(g, w, f, delta, epsilon, rng)
-    return kruskal_mst(g, hat1), kruskal_mst(g, hat2)
+    return _coupled_lip_mst(g, check_weights(g, w), check_edge(g, f), delta, epsilon, rng)
+
+
+def _coupled_lip_mst(g, w, f, delta, epsilon, rng):
+    hat1, hat2 = _coupled_weights(g, w, f, delta, epsilon, rng)
+    return _kruskal(g, hat1), _kruskal(g, hat2)
 
 
 def plip_mst(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> PlipMstResult:
@@ -106,20 +107,20 @@ def plip_mst(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> Pli
     When opt = 0 the spread interval degenerates; the exact MST is
     returned with the zero_optimum flag set.
     """
+    return _plip_mst(g, check_weights(g, w), epsilon, rng)
+
+
+def _plip_mst(g, w, epsilon, rng):
     if epsilon <= 0:
         raise BadParams("epsilon must be positive")
-    w = check_weights(g, w)
-    base = kruskal_mst(g, w)
+    base = _kruskal(g, w)
     opt = base.weight(w)
     if opt == 0.0:
         return PlipMstResult(tree=base, b=0.0, hat_weights=w.copy(), zero_optimum=True)
     scale = epsilon * opt / (g.n - 1)
     b = rng.uniform(0.5 * scale, scale, "b")
-    hat = np.empty(g.m, dtype=float)
-    for e in range(g.m):
-        hat[e] = w[e] + b * rng.random("w", e)
-    tree = kruskal_mst(g, hat)
-    return PlipMstResult(tree=tree, b=b, hat_weights=hat)
+    hat = w + b * _draws(g, rng)
+    return PlipMstResult(tree=_kruskal(g, hat), b=b, hat_weights=hat)
 
 
 def coupled_plip_mst(
@@ -132,13 +133,16 @@ def coupled_plip_mst(
     coupled with maximal overlap across its shifted interval and all other
     coordinates reuse identical draws.
     """
-    w = check_weights(g, w)
+    return _coupled_plip_mst(g, check_weights(g, w), check_edge(g, f), delta, epsilon, rng)
+
+
+def _coupled_plip_mst(g, w, f, delta, epsilon, rng):
     if delta <= 0:
         raise BadParams("delta must be positive")
     w2 = w.copy()
     w2[f] += delta
-    opt1 = kruskal_mst(g, w).weight(w)
-    opt2 = kruskal_mst(g, w2).weight(w2)
+    opt1 = _kruskal(g, w).weight(w)
+    opt2 = _kruskal(g, w2).weight(w2)
     if opt1 == 0.0 or opt2 == 0.0:
         raise BadParams("coupled runs need positive optimum on both sides")
     s1 = epsilon * opt1 / (g.n - 1)
@@ -146,19 +150,13 @@ def coupled_plip_mst(
     b1, b2 = max_overlap_uniform_pair(
         rng.random("b"), rng.random("b", "accept"), 0.5 * s1, s1, 0.5 * s2, s2
     )
-    hat1 = np.empty(g.m, dtype=float)
-    hat2 = np.empty(g.m, dtype=float)
-    for e in range(g.m):
-        u = rng.random("w", e)
-        if b1 == b2 and e == f:
-            accept = rng.random("w", e, "accept")
-            x, y = max_overlap_uniform_pair(
-                u, accept, w[f], w[f] + b1, w[f] + delta, w[f] + delta + b1
-            )
-            hat1[e], hat2[e] = x, y
-        else:
-            hat1[e] = w[e] + b1 * u
-            hat2[e] = w2[e] + b2 * u
-    r1 = PlipMstResult(tree=kruskal_mst(g, hat1), b=b1, hat_weights=hat1)
-    r2 = PlipMstResult(tree=kruskal_mst(g, hat2), b=b2, hat_weights=hat2)
+    u = _draws(g, rng)
+    hat1 = w + b1 * u
+    hat2 = w2 + b2 * u
+    if b1 == b2:
+        hat1[f], hat2[f] = max_overlap_uniform_pair(
+            u[f], rng.random("w", f, "accept"), w[f], w[f] + b1, w[f] + delta, w[f] + delta + b1
+        )
+    r1 = PlipMstResult(tree=_kruskal(g, hat1), b=b1, hat_weights=hat1)
+    r2 = PlipMstResult(tree=_kruskal(g, hat2), b=b2, hat_weights=hat2)
     return r1, r2

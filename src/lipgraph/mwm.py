@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import BadParams
-from .graphs import Matching, WeightedMultigraph, check_weights
+from .graphs import Matching, WeightedMultigraph, check_edge, check_weights
 from .rng import RandomStream
 
 
@@ -46,38 +46,29 @@ def class_partition(w, b: float, alpha: float) -> dict:
     return out
 
 
-def _pi_edge_key(g: WeightedMultigraph, rank: list):
-    """Deterministic edge order induced by a vertex permutation.
-
-    Edges sort by (smaller endpoint rank, larger endpoint rank, edge id).
-    """
-
-    def key(e: int):
-        u, v = g.edges[e]
-        ru, rv = rank[u], rank[v]
-        return (min(ru, rv), max(ru, rv), e)
-
-    return key
-
-
 def lip_mwm_with_draws(
     g: WeightedMultigraph, w, alpha: float, b: float, perm: list
 ) -> Matching:
     """Deterministic greedy given explicit draws (b, vertex permutation)."""
-    w = check_weights(g, w)
+    return _greedy(g, check_weights(g, w), alpha, b, perm)
+
+
+def _greedy(g, w, alpha, b, perm):
     rank = [0] * g.n
     for pos, v in enumerate(perm):
         rank[v] = pos
-    levels = class_partition(w, b, alpha)
-    key = _pi_edge_key(g, rank)
-    # heaviest class first, the permutation order inside a class; an edge
-    # passed over once stays blocked, so one greedy pass suffices
-    order = sorted(
-        (-i, key(e)) for i, edges in levels.items() for e in edges if not g.is_self_loop(e)
-    )
+    # heaviest class first, then (lower, higher endpoint rank, edge id); an
+    # edge passed over once stays blocked, so one greedy pass suffices
+    order = []
+    for i, edges in class_partition(w, b, alpha).items():
+        for e in edges:
+            u, v = g.edges[e]
+            if u != v:
+                order.append((-i, min(rank[u], rank[v]), max(rank[u], rank[v]), e))
+    order.sort()
     matched = [False] * g.n
     chosen = []
-    for _, (_, _, e) in order:
+    for *_, e in order:
         u, v = g.edges[e]
         if not matched[u] and not matched[v]:
             matched[u] = matched[v] = True
@@ -87,11 +78,15 @@ def lip_mwm_with_draws(
 
 def lip_mwm(g: WeightedMultigraph, w, alpha: float, rng: RandomStream) -> Matching:
     """Randomized greedy matching; expected weight >= opt / (4 * alpha)."""
+    return _lip_mwm(g, check_weights(g, w), alpha, rng)
+
+
+def _lip_mwm(g, w, alpha, rng):
     if alpha <= 2:
         raise BadParams("alpha must exceed 2")
     b = rng.uniform(1.0, alpha, "mwm", "b")
     perm = rng.permutation(g.n, "mwm", "perm")
-    return lip_mwm_with_draws(g, w, alpha, b, perm)
+    return _greedy(g, w, alpha, b, perm)
 
 
 def lip_mwm_eps(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> Matching:
@@ -110,7 +105,10 @@ def coupled_lip_mwm(
     the event that the perturbation pushed w(f) below its class threshold
     b * alpha^i; when it did not, the two matchings are identical.
     """
-    w = check_weights(g, w)
+    return _coupled_lip_mwm(g, check_weights(g, w), check_edge(g, f), delta, alpha, rng)
+
+
+def _coupled_lip_mwm(g, w, f, delta, alpha, rng):
     if not (0 < delta < w[f]):
         raise BadParams("need 0 < delta < w(f) for a downward perturbation")
     b = rng.uniform(1.0, alpha, "mwm", "b")
@@ -119,6 +117,4 @@ def coupled_lip_mwm(
     w2[f] -= delta
     i_b = class_index(w[f], b, alpha)
     crossed = w2[f] < b * alpha**i_b
-    m1 = lip_mwm_with_draws(g, w, alpha, b, perm)
-    m2 = lip_mwm_with_draws(g, w2, alpha, b, perm)
-    return m1, m2, bool(crossed)
+    return _greedy(g, w, alpha, b, perm), _greedy(g, w2, alpha, b, perm), bool(crossed)
