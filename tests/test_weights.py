@@ -100,12 +100,11 @@ BAD = ("nan", "inf", "negative", "wrong-shape")
 
 @pytest.mark.parametrize("kind", BAD)
 @pytest.mark.parametrize(
-    "name, weights, call",
-    [(name, W, call) for name, call in GRAPH_ENTRIES.items()]
-    + [(name, B, call) for name, call in BIPARTITE_ENTRIES.items()],
+    "weights, call",
+    [(W, call) for call in GRAPH_ENTRIES.values()] + [(B, call) for call in BIPARTITE_ENTRIES.values()],
     ids=list(GRAPH_ENTRIES) + list(BIPARTITE_ENTRIES),
 )
-def test_public_entries_reject_bad_weights(name, weights, call, kind):
+def test_public_entries_reject_bad_weights(weights, call, kind):
     call(weights)  # the unspoiled weights are accepted
     with pytest.raises(BadParams):
         call(_spoiled(weights, kind))
