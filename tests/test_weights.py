@@ -1,21 +1,24 @@
 """The weight rule at the public boundary.
 
 Every public function that takes weights rejects NaN, infinite, negative
-and wrongly shaped weights with BadParams, and an out-of-range perturbed
-edge or cell with InvalidEdge.  The rule is applied once per public call:
-private cores behind the boundary trust their arrays.
+and wrongly shaped weights with BadParams, a NaN or infinite epsilon,
+delta, alpha or regularization weight with BadParams, and an out-of-range
+perturbed edge or cell with InvalidEdge.  The rule is applied once per
+public call: private cores behind the boundary trust their arrays.
 """
 
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from lipgraph import graphs
-from lipgraph.bmatch import coupled_plip_mwbm, plip_mwbm, solve_lp_ent
+from lipgraph.bmatch import coupled_plip_mwbm, lp_stability_check, plip_mwbm, solve_lp_ent
+from lipgraph.cli import main as cli_main
 from lipgraph.errors import BadParams, InvalidEdge
 from lipgraph.exact import dijkstra, exact_max_weight_matching, kruskal_mst
-from lipgraph.graphs import WeightedMultigraph, read_bipartite
+from lipgraph.graphs import WeightedMultigraph, read_bipartite, write_edge_list
 from lipgraph.harness import (
     BipartiteInstance,
     ExperimentConfig,
@@ -110,6 +113,58 @@ def test_public_entries_reject_bad_weights(weights, call, kind):
         call(_spoiled(weights, kind))
 
 
+def _lips(alg, delta, point):
+    return estimate_lipschitz(alg, G, W, 0, delta, 4, 1, point=point)
+
+
+SCALARS = {
+    "lip_mst epsilon": lambda x: lip_mst(G, W, x, rs()),
+    "plip_mst epsilon": lambda x: plip_mst(G, W, x, rs()),
+    "coupled_lip_mst epsilon": lambda x: coupled_lip_mst(G, W, 0, 0.05, x, rs()),
+    "coupled_lip_mst delta": lambda x: coupled_lip_mst(G, W, 0, x, 0.5, rs()),
+    "coupled_lip_mst_weights epsilon": lambda x: coupled_lip_mst_weights(G, W, 0, 0.05, x, rs()),
+    "coupled_lip_mst_weights delta": lambda x: coupled_lip_mst_weights(G, W, 0, x, 0.5, rs()),
+    "coupled_plip_mst epsilon": lambda x: coupled_plip_mst(G, W, 0, 0.05, x, rs()),
+    "coupled_plip_mst delta": lambda x: coupled_plip_mst(G, W, 0, x, 0.5, rs()),
+    "coupled_lip_sp delta": lambda x: coupled_lip_sp(G, W, 0, 4, 0, x, 0.5, rs()),
+    "coupled_rounding_st delta": lambda x: coupled_rounding_st(G, W, 0, 4, 0, x, 0.5, rs()),
+    "lip_mwm alpha": lambda x: lip_mwm(G, W, x, rs()),
+    "coupled_lip_mwm alpha": lambda x: coupled_lip_mwm(G, W, 0, 0.05, x, rs()),
+    "coupled_plip_mwbm delta": lambda x: coupled_plip_mwbm(3, 3, B, (0, 1), x, 0.1, rs()),
+    "solve_lp_ent b_reg": lambda x: solve_lp_ent(3, 3, B, x),
+    "estimate_lipschitz mst epsilon": lambda x: _lips("mst", 0.05, {"epsilon": x}),
+    "estimate_lipschitz mst delta": lambda x: _lips("mst", x, {"epsilon": 0.5}),
+    "estimate_lipschitz pmst delta": lambda x: _lips("pmst", x, {"epsilon": 0.5}),
+    "estimate_lipschitz sp delta": lambda x: _lips("sp", x, {"epsilon": 0.5, "source": 0, "target": 4}),
+    "estimate_lipschitz mwm alpha": lambda x: _lips("mwm", 0.05, {"alpha": x}),
+    "estimate_bipartite_pointwise delta": lambda x: estimate_bipartite_pointwise(B, (0, 1), x, 0.1, 4, 1),
+}
+
+
+@pytest.mark.parametrize("x", (math.nan, math.inf), ids=("nan", "inf"))
+@pytest.mark.parametrize("name", sorted(SCALARS))
+def test_public_entries_reject_non_finite_parameters(name, x):
+    with pytest.raises(BadParams):
+        SCALARS[name](x)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mst", "--epsilon", "nan"],
+        ["mst", "--epsilon", "inf"],
+        ["mst", "--epsilon", "0.5", "--perturb-edge", "0", "--delta", "inf"],
+        ["mst", "--epsilon", "0.5", "--pointwise", "--perturb-edge", "0", "--delta", "nan"],
+    ],
+    ids=["epsilon-nan", "epsilon-inf", "delta-inf", "pointwise-delta-nan"],
+)
+def test_cli_rejects_non_finite_parameters(args, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(write_edge_list(G, W))
+    assert cli_main(args + ["--input", str(path), "--trials", "3"]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 COUPLED = {
     "coupled_lip_mst": lambda f: coupled_lip_mst(G, W, f, 0.05, 0.5, rs()),
     "coupled_lip_mst_weights": lambda f: coupled_lip_mst_weights(G, W, f, 0.05, 0.5, rs()),
@@ -118,6 +173,8 @@ COUPLED = {
     "coupled_lip_sp": lambda f: coupled_lip_sp(G, W, 0, 4, f, 1e-3, 0.5, rs()),
     "coupled_rounding_st": lambda f: coupled_rounding_st(G, W, 0, 4, f, 1e-3, 0.5, rs()),
     "coupled_plip_mwbm": lambda f: coupled_plip_mwbm(3, 3, B, (f, 0), 0.05, 0.1, rs()),
+    "estimate_bipartite_pointwise": lambda f: estimate_bipartite_pointwise(B, (0, f), 0.05, 0.1, 2, 1),
+    "lp_stability_check": lambda f: lp_stability_check(3, 3, B, (f, 0), 0.05, 0.1),
 }
 
 
@@ -151,9 +208,11 @@ def check_calls(monkeypatch):
         lambda: lip_mst(G, W, 0.5, rs()),
         lambda: plip_mst(G, W, 0.5, rs()),
         lambda: lip_sp(G, W, 0, 4, 0.5, rs()),
+        lambda: lip_sp_run(G, W, 0, 4, 0.5, rs()),
+        lambda: build_gadget(G, W, 0, 4, 0.5, rs()),
         lambda: estimate_lipschitz("mst", G, W, 2, 0.05, 40, 1, point={"epsilon": 0.5}),
     ],
-    ids=["lip_mst", "plip_mst", "lip_sp", "estimate_lipschitz"],
+    ids=["lip_mst", "plip_mst", "lip_sp", "lip_sp_run", "build_gadget", "estimate_lipschitz"],
 )
 def test_weights_are_checked_once_per_public_call(call, check_calls):
     call()
