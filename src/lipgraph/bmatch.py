@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import couple_discrete, max_overlap_uniform_pair
-from .errors import BadParams, DegenerateShape, InvalidEdge, NoConvergence, ZeroOptimum
+from .errors import BadParams, DegenerateShape, NoConvergence, ZeroOptimum
 from .exact import hungarian_bipartite
-from .graphs import check_weights
+from .graphs import check_edge, check_weights
 from .rng import RandomStream
 
 
@@ -149,8 +149,8 @@ def solve_lp_ent(
     after each step of the last stage (it never increases).
     """
     w = check_weights((nu, nv), w)
-    if b_reg <= 0:
-        raise BadParams("regularization weight must be positive")
+    if not 0 < b_reg < math.inf:
+        raise BadParams("regularization weight must be positive and finite")
     top = float(w.max(initial=0.0))
     cs_scale = max(1.0, top)  # the duals, and so the slackness, scale with w
     stages = math.ceil(math.log(top / b_reg) / -math.log(_STAGE_FACTOR)) if top > b_reg else 0
@@ -275,7 +275,7 @@ def lp_stability_check(
     w = np.asarray(w, dtype=float)
     sol1 = solve_lp_ent(nu, nv, w, b_reg, tol=tol)
     w2 = w.copy()
-    w2[f] += delta
+    w2[check_edge((nu, nv), f)] += delta
     sol2 = solve_lp_ent(nu, nv, w2, b_reg, tol=tol)
     lhs = float(np.abs(sol1.x - sol2.x).sum())
     return lhs, math.sqrt(nu) * delta / b_reg
@@ -323,11 +323,11 @@ def coupled_plip_mwbm(
         raise BadParams("epsilon must lie in (0, 1/2)")
     if nv < 2:
         raise DegenerateShape("need at least two right-side vertices")
+    if not 0 < delta < math.inf:
+        raise BadParams("delta must be positive and finite")
     w = check_weights((nu, nv), w)
-    if not (0 <= f[0] < nu and 0 <= f[1] < nv):
-        raise InvalidEdge(f"cell {f} out of range")
     w2 = w.copy()
-    w2[f] += delta
+    w2[check_edge((nu, nv), f)] += delta
     _, opt1 = hungarian_bipartite(w)
     _, opt2 = hungarian_bipartite(w2)
     if opt1 <= 0 or opt2 <= 0:

@@ -35,10 +35,11 @@ def check_weights(g, w) -> np.ndarray:
     return w
 
 
-def check_edge(g, f: int) -> int:
-    """Return f if it is an edge id of g, else raise InvalidEdge."""
-    if not 0 <= f < g.m:
-        raise InvalidEdge(f"edge {f} out of range")
+def check_edge(g, f):
+    """Return f, an edge id of graph g or a cell (i, j) of shape g; else raise InvalidEdge."""
+    shape, index = (g, tuple(f)) if isinstance(g, tuple) else ((g.m,), (f,))
+    if len(index) != len(shape) or not all(0 <= i < n for i, n in zip(index, shape)):
+        raise InvalidEdge(f"{'cell' if isinstance(g, tuple) else 'edge'} {f} out of range")
     return f
 
 

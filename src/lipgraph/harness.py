@@ -235,8 +235,9 @@ def _algorithm(alg: str, g, point: dict):
         return lambda w, rs: sp(g, s, t, eps, rs, gamma_override=override), lambda out, w: len(out), bound
     if alg == "mwm":
         alpha = point["alpha"]
-        if alpha <= 2:  # checked here too: the guarantee 1/(4 alpha) is computed before any run
-            raise BadParams("alpha must exceed 2")
+        # checked here too: the guarantee 1/(4 alpha) is computed before any run
+        if not 2 < alpha < math.inf:
+            raise BadParams("alpha must exceed 2 and be finite")
         return (lambda w, rs: _lip_mwm(g, w, alpha, rs), lambda out, w: out.weight(w),
                 lambda w: (exact_max_weight_matching(g, w)[1], 1.0 / (4.0 * alpha)))
     if alg == "bmatch":
@@ -347,8 +348,8 @@ def estimate_lipschitz(
 
 
 def _lipschitz(alg, g, w, f, delta, trials, seed, metric, point):
-    if delta <= 0:
-        raise BadParams("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise BadParams("delta must be positive and finite")
     if metric not in ("weighted", "unweighted"):
         raise BadParams("metric must be 'weighted' or 'unweighted'")
     w = check_weights(g, w)
@@ -385,14 +386,12 @@ def estimate_bipartite_pointwise(
 
 
 def _bipartite(w, cell, delta, epsilon, trials, seed):
+    if not 0 < delta < math.inf:
+        raise BadParams("delta must be positive and finite")
     w = check_weights(None, w)
     nu, nv = w.shape
-    if delta <= 0:
-        raise BadParams("delta must be positive")
-    if not (0 <= cell[0] < nu and 0 <= cell[1] < nv):
-        raise InvalidEdge(f"cell {cell} out of range")
     w2 = w.copy()
-    w2[cell] += delta
+    w2[check_edge(w.shape, cell)] += delta
     ws = {"p": w, "q": w2}
 
     def ids(matching):
@@ -462,8 +461,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise BadParams("trials must be >= 1")
         for point in self.grid:
-            if point.get("delta") is not None and not point["delta"] > 0:
-                raise BadParams("delta must be positive")
+            if point.get("delta") is not None and not 0 < point["delta"] < math.inf:
+                raise BadParams("delta must be positive and finite")
 
 
 def _fmt(value) -> str:

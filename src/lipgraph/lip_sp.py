@@ -99,7 +99,10 @@ def build_gadget_from(
     Arc layout: included edges in ascending id order, forward chain then
     backward chain, each chain's arcs consecutive in walk order.
     """
-    w = check_weights(g, w)
+    return _build_gadget_from(g, check_weights(g, w), epsilon, b, x)
+
+
+def _build_gadget_from(g, w, epsilon, b, x):
     l, hat = rounded_lengths(w, b, x)
     cap = inclusion_cap(g.n, epsilon)
     included = np.flatnonzero(~g.self_loop_mask & (hat <= cap))
@@ -182,7 +185,7 @@ def build_gadget(
     opt = _optimum(g, w, s, t)
     if opt <= 0:
         raise BadParams("gadget construction needs a positive s-t optimum")
-    return build_gadget_from(g, w, epsilon, *_sample_draws(g, epsilon, opt, rng))
+    return _build_gadget_from(g, w, epsilon, *_sample_draws(g, epsilon, opt, rng))
 
 
 def _sample_draws(g: WeightedMultigraph, epsilon: float, opt: float, rng: RandomStream):
@@ -493,7 +496,7 @@ def lip_sp_run(
     opt = _optimum(g, w, s, t)
     if opt == 0.0:
         return LipSpResult(_zero_weight_walk(g, w, s, t), None, None, zero_optimum=True)
-    gadget = build_gadget_from(g, w, epsilon, *_sample_draws(g, epsilon, opt, rng))
+    gadget = _build_gadget_from(g, w, epsilon, *_sample_draws(g, epsilon, opt, rng))
     hat_walk = sp(gadget.graph, s, t, epsilon / 4.0, rng)
     return LipSpResult(map_walk_back(gadget, hat_walk), gadget, hat_walk)
 
@@ -561,8 +564,8 @@ def coupled_rounding_st(
 
 
 def _coupled_rounding(g, w, s, t, f, delta, epsilon, rng):
-    if delta <= 0:
-        raise BadParams("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise BadParams("delta must be positive and finite")
     w2 = w.copy()
     w2[f] += delta
     opt1 = _weighted_dijkstra(g, w, s)[0][t]

@@ -41,9 +41,15 @@ def _draws(g, rng):
     return np.array([rng.random("w", e) for e in range(g.m)])
 
 
+def _hat(g, w, epsilon, rng):
+    """Multiplicative hat weights w(e) * (1 + eps u(e)) and the draws u."""
+    u = _draws(g, rng)
+    return w * (1.0 + epsilon * u), u
+
+
 def sample_hat_weights(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> np.ndarray:
     """One multiplicative weight sample: hat_w(e) ~ U[w(e), (1+eps) w(e)]."""
-    return check_weights(g, w) * (1.0 + epsilon * _draws(g, rng))
+    return _hat(g, check_weights(g, w), epsilon, rng)[0]
 
 
 def lip_mst(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> LipMstResult:
@@ -55,9 +61,9 @@ def lip_mst(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> LipM
 
 
 def _lip_mst(g, w, epsilon, rng):
-    if epsilon <= 0:
-        raise BadParams("epsilon must be positive")
-    hat = w * (1.0 + epsilon * _draws(g, rng))
+    if not 0 < epsilon < np.inf:
+        raise BadParams("epsilon must be positive and finite")
+    hat, _ = _hat(g, w, epsilon, rng)
     return LipMstResult(tree=_kruskal(g, hat), hat_weights=hat)
 
 
@@ -75,10 +81,9 @@ def coupled_lip_mst_weights(
 
 
 def _coupled_weights(g, w, f, delta, epsilon, rng):
-    if delta <= 0:
-        raise BadParams("delta must be positive")
-    u = _draws(g, rng)
-    hat1 = w * (1.0 + epsilon * u)
+    if not (0 < delta < np.inf and 0 < epsilon < np.inf):
+        raise BadParams("delta and epsilon must be positive and finite")
+    hat1, u = _hat(g, w, epsilon, rng)
     hat2 = hat1.copy()
     hat1[f], hat2[f] = max_overlap_uniform_pair(
         u[f], rng.random("w", f, "accept"),
@@ -111,8 +116,8 @@ def plip_mst(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> Pli
 
 
 def _plip_mst(g, w, epsilon, rng):
-    if epsilon <= 0:
-        raise BadParams("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise BadParams("epsilon must be positive and finite")
     base = _kruskal(g, w)
     opt = base.weight(w)
     if opt == 0.0:
@@ -137,8 +142,8 @@ def coupled_plip_mst(
 
 
 def _coupled_plip_mst(g, w, f, delta, epsilon, rng):
-    if delta <= 0:
-        raise BadParams("delta must be positive")
+    if not (0 < delta < np.inf and 0 < epsilon < np.inf):
+        raise BadParams("delta and epsilon must be positive and finite")
     w2 = w.copy()
     w2[f] += delta
     opt1 = _kruskal(g, w).weight(w)

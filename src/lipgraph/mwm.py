@@ -82,8 +82,8 @@ def lip_mwm(g: WeightedMultigraph, w, alpha: float, rng: RandomStream) -> Matchi
 
 
 def _lip_mwm(g, w, alpha, rng):
-    if alpha <= 2:
-        raise BadParams("alpha must exceed 2")
+    if not 2 < alpha < math.inf:
+        raise BadParams("alpha must exceed 2 and be finite")
     b = rng.uniform(1.0, alpha, "mwm", "b")
     perm = rng.permutation(g.n, "mwm", "perm")
     return _greedy(g, w, alpha, b, perm)
@@ -109,6 +109,8 @@ def coupled_lip_mwm(
 
 
 def _coupled_lip_mwm(g, w, f, delta, alpha, rng):
+    if not 2 < alpha < math.inf:
+        raise BadParams("alpha must exceed 2 and be finite")
     if not (0 < delta < w[f]):
         raise BadParams("need 0 < delta < w(f) for a downward perturbation")
     b = rng.uniform(1.0, alpha, "mwm", "b")
