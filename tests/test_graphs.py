@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipgraph.errors import BadParams, NotContractible, SelfLoop
+from lipgraph.errors import BadParams, InvalidEdge, NotContractible, SelfLoop
 from lipgraph.graphs import (
     DirectedGraph,
     Matching,
@@ -129,6 +129,14 @@ def test_contract_edge_rejects_self_loop():
     g = WeightedMultigraph(2, ((0, 0), (0, 1)))
     with pytest.raises(SelfLoop):
         contract_edge(g, 0)
+
+
+@pytest.mark.parametrize("e", (4, 99, -1))
+def test_contract_edge_rejects_out_of_range_edge(e):
+    # -1 used to index the last edge and return a graph that kept it as a self-loop
+    g = WeightedMultigraph(4, tuple((i, (i + 1) % 4) for i in range(4)))
+    with pytest.raises(InvalidEdge):
+        contract_edge(g, e)
 
 
 def test_contract_cycle_shrinks():
