@@ -482,7 +482,7 @@ class ContractionResult:
 
 def contract_edge(g: WeightedMultigraph, e: int) -> ContractionResult:
     """Contract edge e: merge its endpoints into a fresh last vertex."""
-    u, v = g.edges[e]
+    u, v = g.edges[check_edge(g, e)]
     if u == v:
         raise SelfLoop(f"edge {e} is a self-loop")
     merged = g.n - 2

@@ -235,8 +235,7 @@ def _algorithm(alg: str, g, point: dict):
         return lambda w, rs: sp(g, s, t, eps, rs, gamma_override=override), lambda out, w: len(out), bound
     if alg == "mwm":
         alpha = point["alpha"]
-        # checked here too: the guarantee 1/(4 alpha) is computed before any run
-        if not 2 < alpha < math.inf:
+        if not 2 < alpha < math.inf:  # checked here too: bound() divides by alpha before any run
             raise BadParams("alpha must exceed 2 and be finite")
         return (lambda w, rs: _lip_mwm(g, w, alpha, rs), lambda out, w: out.weight(w),
                 lambda w: (exact_max_weight_matching(g, w)[1], 1.0 / (4.0 * alpha)))

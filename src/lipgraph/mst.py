@@ -43,6 +43,8 @@ def _draws(g, rng):
 
 def _hat(g, w, epsilon, rng):
     """Multiplicative hat weights w(e) * (1 + eps u(e)) and the draws u."""
+    if not 0 < epsilon < np.inf:
+        raise BadParams("epsilon must be positive and finite")
     u = _draws(g, rng)
     return w * (1.0 + epsilon * u), u
 
@@ -61,8 +63,6 @@ def lip_mst(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> LipM
 
 
 def _lip_mst(g, w, epsilon, rng):
-    if not 0 < epsilon < np.inf:
-        raise BadParams("epsilon must be positive and finite")
     hat, _ = _hat(g, w, epsilon, rng)
     return LipMstResult(tree=_kruskal(g, hat), hat_weights=hat)
 
@@ -81,8 +81,8 @@ def coupled_lip_mst_weights(
 
 
 def _coupled_weights(g, w, f, delta, epsilon, rng):
-    if not (0 < delta < np.inf and 0 < epsilon < np.inf):
-        raise BadParams("delta and epsilon must be positive and finite")
+    if not 0 < delta < np.inf:
+        raise BadParams("delta must be positive and finite")
     hat1, u = _hat(g, w, epsilon, rng)
     hat2 = hat1.copy()
     hat1[f], hat2[f] = max_overlap_uniform_pair(

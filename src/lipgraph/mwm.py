@@ -82,11 +82,14 @@ def lip_mwm(g: WeightedMultigraph, w, alpha: float, rng: RandomStream) -> Matchi
 
 
 def _lip_mwm(g, w, alpha, rng):
+    return _greedy(g, w, alpha, *_draws(g, alpha, rng))
+
+
+def _draws(g, alpha, rng):
+    """The keyed draws (b, vertex permutation) that every run shares."""
     if not 2 < alpha < math.inf:
         raise BadParams("alpha must exceed 2 and be finite")
-    b = rng.uniform(1.0, alpha, "mwm", "b")
-    perm = rng.permutation(g.n, "mwm", "perm")
-    return _greedy(g, w, alpha, b, perm)
+    return rng.uniform(1.0, alpha, "mwm", "b"), rng.permutation(g.n, "mwm", "perm")
 
 
 def lip_mwm_eps(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> Matching:
@@ -109,12 +112,9 @@ def coupled_lip_mwm(
 
 
 def _coupled_lip_mwm(g, w, f, delta, alpha, rng):
-    if not 2 < alpha < math.inf:
-        raise BadParams("alpha must exceed 2 and be finite")
     if not (0 < delta < w[f]):
         raise BadParams("need 0 < delta < w(f) for a downward perturbation")
-    b = rng.uniform(1.0, alpha, "mwm", "b")
-    perm = rng.permutation(g.n, "mwm", "perm")
+    b, perm = _draws(g, alpha, rng)
     w2 = w.copy()
     w2[f] -= delta
     i_b = class_index(w[f], b, alpha)
