@@ -2,8 +2,10 @@
 
 Every public function that takes weights rejects NaN, infinite, negative
 and wrongly shaped weights with BadParams, a NaN or infinite epsilon,
-delta, alpha or regularization weight with BadParams, and an out-of-range
-perturbed edge or cell with InvalidEdge.  The rule is applied once per
+delta, alpha or regularization weight with BadParams, an epsilon of the
+shortest-path gadget outside (0, 1) with BadParams, and an out-of-range or
+non-integer perturbed edge or cell with InvalidEdge.  A valid edge id
+reaches the keyed draws as a Python int, whatever its type was.  The rule is applied once per
 public call: private cores behind the boundary trust their arrays.
 """
 
@@ -17,7 +19,7 @@ from lipgraph import graphs
 from lipgraph.bmatch import coupled_plip_mwbm, lp_stability_check, plip_mwbm, solve_lp_ent
 from lipgraph.cli import main as cli_main
 from lipgraph.errors import BadParams, InvalidEdge
-from lipgraph.exact import dijkstra, exact_max_weight_matching, kruskal_mst
+from lipgraph.exact import dijkstra, exact_max_weight_matching, hungarian_bipartite, kruskal_mst
 from lipgraph.graphs import WeightedMultigraph, read_bipartite, write_edge_list
 from lipgraph.harness import (
     BipartiteInstance,
@@ -84,6 +86,7 @@ BIPARTITE_ENTRIES = {
     "solve_lp_ent": lambda w: solve_lp_ent(3, 3, w, 0.1),
     "estimate_bipartite_pointwise": lambda w: estimate_bipartite_pointwise(w, (0, 1), 0.05, 0.1, 4, 1),
     "read_bipartite": lambda w: read_bipartite(_bipartite_text(w)),
+    "hungarian_bipartite": lambda w: hungarian_bipartite(w),
     "run_experiment_bipartite": lambda w: run_experiment(
         ExperimentConfig("bmatch", BipartiteInstance(w, "hand"), ({"epsilon": 0.1},), 4, 1)
     ),
@@ -128,6 +131,9 @@ SCALARS = {
     "coupled_plip_mst delta": lambda x: coupled_plip_mst(G, W, 0, x, 0.5, rs()),
     "coupled_lip_sp delta": lambda x: coupled_lip_sp(G, W, 0, 4, 0, x, 0.5, rs()),
     "coupled_rounding_st delta": lambda x: coupled_rounding_st(G, W, 0, 4, 0, x, 0.5, rs()),
+    "coupled_rounding_st epsilon": lambda x: coupled_rounding_st(G, W, 0, 4, 0, 1e-3, x, rs()),
+    "build_gadget epsilon": lambda x: build_gadget(G, W, 0, 4, x, rs()),
+    "build_gadget_from epsilon": lambda x: build_gadget_from(G, W, x, 0.1, np.full(G.m, 0.5)),
     "lip_mwm alpha": lambda x: lip_mwm(G, W, x, rs()),
     "coupled_lip_mwm alpha": lambda x: coupled_lip_mwm(G, W, 0, 0.05, x, rs()),
     "coupled_plip_mwbm delta": lambda x: coupled_plip_mwbm(3, 3, B, (0, 1), x, 0.1, rs()),
@@ -144,6 +150,13 @@ SCALARS = {
 @pytest.mark.parametrize("x", (math.nan, math.inf), ids=("nan", "inf"))
 @pytest.mark.parametrize("name", sorted(SCALARS))
 def test_public_entries_reject_non_finite_parameters(name, x):
+    with pytest.raises(BadParams):
+        SCALARS[name](x)
+
+
+@pytest.mark.parametrize("x", (0.0, -0.5, 1.0))
+@pytest.mark.parametrize("name", ("build_gadget epsilon", "build_gadget_from epsilon", "coupled_rounding_st epsilon"))
+def test_gadget_entries_reject_epsilon_outside_unit_interval(name, x):
     with pytest.raises(BadParams):
         SCALARS[name](x)
 
@@ -184,6 +197,40 @@ def test_coupled_runs_reject_out_of_range_edge(name, f):
     COUPLED[name](0)
     with pytest.raises(InvalidEdge):
         COUPLED[name](f)
+
+
+@pytest.mark.parametrize("f", (1.0, np.float64(1.0)), ids=("float", "numpy-float"))
+@pytest.mark.parametrize("name", sorted(COUPLED))
+def test_coupled_runs_reject_non_integer_edge(name, f):
+    with pytest.raises(InvalidEdge):
+        COUPLED[name](f)
+
+
+def test_check_edge_returns_python_ints():
+    for f in (2, np.int64(2), np.intp(2), np.uint8(2)):
+        assert type(graphs.check_edge(G, f)) is int and graphs.check_edge(G, f) == 2
+    cell = graphs.check_edge((3, 3), (np.int64(0), np.int32(1)))
+    assert cell == (0, 1) and all(type(i) is int for i in cell)
+    for bad in (2.0, "2", (0, 1), None):
+        with pytest.raises(InvalidEdge):
+            graphs.check_edge(G, bad)
+    for bad in ((0, 1.0), 1, "01", (0, None)):
+        with pytest.raises(InvalidEdge):
+            graphs.check_edge((3, 3), bad)
+
+
+def test_keyed_draws_do_not_depend_on_the_edge_id_type():
+    # a 4-cycle with a chord; numpy and Python ids must key the same draws
+    g = WeightedMultigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+    w = np.arange(1.0, 6.0)
+    for seed in range(50):
+        ints = coupled_lip_mst_weights(g, w, 2, 0.5, 0.5, RandomStream(seed))
+        numpy = coupled_lip_mst_weights(g, w, np.int64(2), 0.5, 0.5, RandomStream(seed))
+        assert all(np.array_equal(a, b) for a, b in zip(ints, numpy)), seed
+    point = {"epsilon": 0.5}
+    assert repr(estimate_lipschitz("mst", G, W, np.int64(2), 0.05, 20, 1, point=point)) == repr(
+        estimate_lipschitz("mst", G, W, 2, 0.05, 20, 1, point=point)
+    )
 
 
 @pytest.fixture
