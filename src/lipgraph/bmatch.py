@@ -27,7 +27,7 @@ import numpy as np
 
 from .coupling import couple_discrete, max_overlap_uniform_pair
 from .errors import BadParams, DegenerateShape, NoConvergence, ZeroOptimum
-from .exact import hungarian_bipartite
+from .exact import _hungarian
 from .graphs import check_edge, check_weights
 from .rng import RandomStream
 
@@ -258,7 +258,7 @@ def plip_mwbm(
     if nv < 2:
         raise DegenerateShape("need at least two right-side vertices")
     w = check_weights((nu, nv), w)
-    _, opt = hungarian_bipartite(w)
+    _, opt = _hungarian(w)
     if opt <= 0:
         return BipartiteMatchResult((), None, None, 0.0, 0.0, zero_optimum=True)
     scale = epsilon * opt / (nu * math.log(nv))
@@ -328,8 +328,8 @@ def coupled_plip_mwbm(
     w = check_weights((nu, nv), w)
     w2 = w.copy()
     w2[check_edge((nu, nv), f)] += delta
-    _, opt1 = hungarian_bipartite(w)
-    _, opt2 = hungarian_bipartite(w2)
+    _, opt1 = _hungarian(w)
+    _, opt2 = _hungarian(w2)
     if opt1 <= 0 or opt2 <= 0:
         raise ZeroOptimum("coupled runs need positive optima")
     s1 = epsilon * opt1 / (nu * math.log(nv))

@@ -152,11 +152,12 @@ def hungarian_bipartite(weights) -> tuple[list, float]:
     Returns (pairs, value) where pairs is a list of (row, col) with
     positive weight.
     """
+    return _hungarian(check_weights(None, weights))
+
+
+def _hungarian(weights):
     from scipy.optimize import linear_sum_assignment
 
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2:
-        raise ValueError("weight matrix must be 2-dimensional")
     if weights.size == 0:
         return [], 0.0
     rows, cols = linear_sum_assignment(weights, maximize=True)

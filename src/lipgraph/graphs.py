@@ -7,6 +7,7 @@ underlying graph never changes.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,11 +37,21 @@ def check_weights(g, w) -> np.ndarray:
 
 
 def check_edge(g, f):
-    """Return f, an edge id of graph g or a cell (i, j) of shape g; else raise InvalidEdge."""
-    shape, index = (g, tuple(f)) if isinstance(g, tuple) else ((g.m,), (f,))
+    """Return edge id f of graph g, or cell f = (i, j) of shape g, as Python ints.
+
+    Keyed draws hash the repr of their key, so a numpy id would key other
+    draws than the equal int.  A non-integer or out-of-range f raises
+    InvalidEdge.
+    """
+    cell = isinstance(g, tuple)
+    kind, shape = ("cell", g) if cell else ("edge", (g.m,))
+    try:
+        index = tuple(map(operator.index, f if cell else (f,)))
+    except TypeError:
+        raise InvalidEdge(f"{kind} {f!r} is not an integer index") from None
     if len(index) != len(shape) or not all(0 <= i < n for i, n in zip(index, shape)):
-        raise InvalidEdge(f"{'cell' if isinstance(g, tuple) else 'edge'} {f} out of range")
-    return f
+        raise InvalidEdge(f"{kind} {f} out of range")
+    return index if cell else index[0]
 
 
 @dataclass(frozen=True)
@@ -482,7 +493,8 @@ class ContractionResult:
 
 def contract_edge(g: WeightedMultigraph, e: int) -> ContractionResult:
     """Contract edge e: merge its endpoints into a fresh last vertex."""
-    u, v = g.edges[check_edge(g, e)]
+    e = check_edge(g, e)
+    u, v = g.edges[e]
     if u == v:
         raise SelfLoop(f"edge {e} is a self-loop")
     merged = g.n - 2

@@ -32,7 +32,7 @@ import numpy as np
 
 from .contraction_sp import sp
 from .errors import BadParams, InvalidEdge
-from .exact import _dijkstra, _kruskal, exact_max_weight_matching, hungarian_bipartite
+from .exact import _dijkstra, _hungarian, _kruskal, exact_max_weight_matching
 from .graphs import (
     ContractionResult,
     WeightedMultigraph,
@@ -242,7 +242,7 @@ def _algorithm(alg: str, g, point: dict):
     if alg == "bmatch":
         eps = point["epsilon"]
         return (lambda w, rs: plip_mwbm(*w.shape, w, eps, rs), lambda out, w: out.weight(w),
-                lambda w: (hungarian_bipartite(w)[1], 0.5 - eps))
+                lambda w: (_hungarian(w)[1], 0.5 - eps))
     raise BadParams(f"unknown algorithm {alg!r}")
 
 
@@ -352,7 +352,7 @@ def _lipschitz(alg, g, w, f, delta, trials, seed, metric, point):
     if metric not in ("weighted", "unweighted"):
         raise BadParams("metric must be 'weighted' or 'unweighted'")
     w = check_weights(g, w)
-    check_edge(g, f)
+    f = check_edge(g, f)
     point = dict(point or {})
     w2 = w.copy()
     w2[f] += perturbation_direction(alg) * delta
@@ -389,8 +389,9 @@ def _bipartite(w, cell, delta, epsilon, trials, seed):
         raise BadParams("delta must be positive and finite")
     w = check_weights(None, w)
     nu, nv = w.shape
+    cell = check_edge(w.shape, cell)
     w2 = w.copy()
-    w2[check_edge(w.shape, cell)] += delta
+    w2[cell] += delta
     ws = {"p": w, "q": w2}
 
     def ids(matching):

@@ -87,6 +87,11 @@ def rounded_lengths(w, b: float, x) -> tuple[np.ndarray, np.ndarray]:
     return l.astype(np.int64), hat.astype(np.int64)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < 1:
+        raise BadParams("epsilon must lie in (0, 1)")
+
+
 def inclusion_cap(n: int, epsilon: float) -> float:
     return 12.0 * n / epsilon + 3.0
 
@@ -99,6 +104,7 @@ def build_gadget_from(
     Arc layout: included edges in ascending id order, forward chain then
     backward chain, each chain's arcs consecutive in walk order.
     """
+    _check_epsilon(epsilon)
     return _build_gadget_from(g, check_weights(g, w), epsilon, b, x)
 
 
@@ -181,6 +187,7 @@ def build_gadget(
     rng: RandomStream,
 ) -> GadgetGraph:
     """Sample (b, x) and build the gadget; requires positive s-t optimum."""
+    _check_epsilon(epsilon)
     w = check_weights(g, w)
     opt = _optimum(g, w, s, t)
     if opt <= 0:
@@ -488,8 +495,7 @@ def lip_sp_run(
 ) -> LipSpResult:
     """Explicit reference run: builds the gadget and keeps it and the gadget
     walk for inspection.  Its walk equals :func:`lip_sp`'s."""
-    if not (0 < epsilon < 1):
-        raise BadParams("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     w = check_weights(g, w)
     if s == t:
         return LipSpResult(Walk(s, t, ()), None, None)
@@ -517,8 +523,7 @@ def lip_sp(
 
 
 def _lip_sp(g, w, s, t, epsilon, rng):
-    if not (0 < epsilon < 1):
-        raise BadParams("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     if s == t:
         return Walk(s, t, ())
     opt = _optimum(g, w, s, t)
@@ -564,6 +569,7 @@ def coupled_rounding_st(
 
 
 def _coupled_rounding(g, w, s, t, f, delta, epsilon, rng):
+    _check_epsilon(epsilon)
     if not 0 < delta < math.inf:
         raise BadParams("delta must be positive and finite")
     w2 = w.copy()
