@@ -165,6 +165,14 @@ def test_contract_directed_requires_degree_one():
         contract_directed(g, 0)
 
 
+@pytest.mark.parametrize("a", (3, 99, -2, 1.0))
+def test_contract_directed_rejects_invalid_arc(a):
+    # -2 used to index the middle arc and return a graph that kept it as a self-loop
+    g = DirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InvalidEdge):
+        contract_directed(g, a)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_contract_directed_preserves_reachability(data):
