@@ -4,21 +4,16 @@ from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 from .errors import DisconnectedGraph, TooLarge
-from .graphs import Matching, SpanningTree, Walk, WeightedMultigraph, check_weights
+from .graphs import Matching, SpanningTree, Walk, WeightedMultigraph, check_weights, walk_back
 
 _INF = float("inf")
 
 
 def bfs_dist(g, s: int):
     """Hop counts from s (inf for unreachable); works on either graph type."""
-    from .graphs import DirectedGraph
-
-    if isinstance(g, DirectedGraph):
-        return [float(d) for d in g.hop_dist_from(s)]
-    return [float(d) for d in g.hop_dist(s)]
+    dist = g.hop_dist(s) if isinstance(g, WeightedMultigraph) else g.hop_dist_from(s)
+    return [float(d) for d in dist]
 
 
 def dijkstra(g: WeightedMultigraph, w, s: int) -> tuple[list, list]:
@@ -28,15 +23,17 @@ def dijkstra(g: WeightedMultigraph, w, s: int) -> tuple[list, list]:
     reach v in the shortest-path tree (-1 at s and unreachable vertices).
     Ties resolve toward the lexicographically smaller (dist, vertex) pop.
     """
-    return _dijkstra(g, check_weights(g, w), s)
+    return _dijkstra(g.adjacency, check_weights(g, w), s)
 
 
-def _dijkstra(g, w, s):
-    dist = [_INF] * g.n
-    pred = [-1] * g.n
-    dist[s] = 0.0
-    heap = [(0.0, s)]
-    adj = g.adjacency
+def _dijkstra(adj, w, s, start=0.0):
+    """(dist, pred) over adjacency lists of (neighbor, id) pairs, where the
+    id has length w[id] and s starts at ``start``; pred[v] is the id that
+    reaches v, -1 at s and at unreachable vertices."""
+    dist = [_INF] * len(adj)
+    pred = [-1] * len(adj)
+    dist[s] = start
+    heap = [(start, s)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
@@ -53,21 +50,7 @@ def _dijkstra(g, w, s):
 def dijkstra_walk(g: WeightedMultigraph, w, s: int, t: int) -> Walk | None:
     """A minimum-weight s-t walk from the dijkstra tree, or None."""
     dist, pred = dijkstra(g, w, s)
-    if dist[t] == _INF:
-        return None
-    steps = []
-    v = t
-    while v != s:
-        e = pred[v]
-        a, b = g.edges[e]
-        if b == v:
-            steps.append((e, 1))
-            v = a
-        else:
-            steps.append((e, -1))
-            v = b
-    steps.reverse()
-    return Walk(s, t, tuple(steps))
+    return walk_back(g, s, t, pred) if dist[t] < _INF else None
 
 
 def kruskal_mst(g: WeightedMultigraph, w) -> SpanningTree:

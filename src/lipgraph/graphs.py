@@ -107,12 +107,9 @@ class WeightedMultigraph:
             lst.sort()
         return tuple(tuple(lst) for lst in adj)
 
+    @cached_property
     def _bfs_cache(self) -> dict:
-        cache = self.__dict__.get("_bfs")
-        if cache is None:
-            cache = {}
-            self.__dict__["_bfs"] = cache
-        return cache
+        return {}
 
     def bfs_tree(self, s: int) -> tuple[list, list, list]:
         """Hop distances, predecessor vertex and predecessor edge from s.
@@ -120,10 +117,8 @@ class WeightedMultigraph:
         Deterministic: adjacency is scanned in sorted order, so the first
         discovery (and hence the BFS tree) is reproducible.
         """
-        cache = self._bfs_cache()
-        hit = cache.get(s)
-        if hit is not None:
-            return hit
+        if s in self._bfs_cache:
+            return self._bfs_cache[s]
         dist = [_INF] * self.n
         pred_v = [-1] * self.n
         pred_e = [-1] * self.n
@@ -139,9 +134,8 @@ class WeightedMultigraph:
                     pred_v[v] = u
                     pred_e[v] = e
                     queue.append(v)
-        result = (dist, pred_v, pred_e)
-        cache[s] = result
-        return result
+        self._bfs_cache[s] = (dist, pred_v, pred_e)
+        return dist, pred_v, pred_e
 
     def hop_dist(self, s: int) -> list:
         return self.bfs_tree(s)[0]
@@ -222,12 +216,9 @@ class DirectedGraph:
         tails, heads = self._arc_arrays
         return self._build_csr(heads, tails, self.n)
 
+    @cached_property
     def _dist_cache(self) -> dict:
-        cache = self.__dict__.get("_dists")
-        if cache is None:
-            cache = {}
-            self.__dict__["_dists"] = cache
-        return cache
+        return {}
 
     def bfs_from(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Cached hop distances from s and canonical predecessor arcs.
@@ -237,7 +228,7 @@ class DirectedGraph:
         one rule, so they depend on the graph alone, not on which tables
         were computed first.
         """
-        cache = self._dist_cache()
+        cache = self._dist_cache
         key = ("from", s)
         if key not in cache:
             from scipy.sparse.csgraph import dijkstra
@@ -259,7 +250,7 @@ class DirectedGraph:
 
     def hop_dist_to(self, t: int) -> np.ndarray:
         """Hop counts from every vertex to t."""
-        cache = self._dist_cache()
+        cache = self._dist_cache
         key = ("to", t)
         if key not in cache:
             from scipy.sparse.csgraph import dijkstra
@@ -354,34 +345,26 @@ class Walk:
             raise BadParams("empty walk with source != target")
 
 
-def walk_from_vertex_path(g: WeightedMultigraph, path: list[int]) -> Walk:
-    """Build a walk along a vertex path, picking the lowest-id edge per hop."""
+def walk_back(g: WeightedMultigraph, s: int, t: int, pred) -> Walk:
+    """The s-t walk that enters each vertex v over edge pred[v]."""
     steps = []
-    for a, b in zip(path, path[1:]):
-        chosen = None
-        for v, e in g.adjacency[a]:
-            if v == b:
-                chosen = e
-                break
-        if chosen is None:
-            raise BadParams(f"no edge between {a} and {b}")
-        u, vv = g.edges[chosen]
-        steps.append((chosen, 1 if (u, vv) == (a, b) else -1))
-    return Walk(path[0], path[-1], tuple(steps))
+    v = t
+    while v != s:
+        e = pred[v]
+        a, b = g.edges[e]
+        steps.append((e, 1 if b == v else -1))
+        v = a if b == v else b
+    steps.reverse()
+    return Walk(s, t, tuple(steps))
 
 
 def bfs_walk(g: WeightedMultigraph, s: int, t: int) -> Walk | None:
-    """Deterministic BFS shortest walk from s to t, or None if unreachable."""
-    dist, pred_v, pred_e = g.bfs_tree(s)
-    if dist[t] == _INF:
-        return None
-    path = [t]
-    v = t
-    while v != s:
-        v = pred_v[v]
-        path.append(v)
-    path.reverse()
-    return walk_from_vertex_path(g, path)
+    """Deterministic BFS shortest walk from s to t, or None if unreachable.
+
+    Each hop takes the lowest-id edge from the vertex's BFS parent.
+    """
+    dist, _, pred_e = g.bfs_tree(s)
+    return walk_back(g, s, t, pred_e) if dist[t] < _INF else None
 
 
 @dataclass(frozen=True)
@@ -457,26 +440,20 @@ class Matching:
 
 @dataclass(frozen=True)
 class ContractionResult:
-    """Undirected contraction G/e with translation maps.
+    """Contraction of an undirected edge or a directed arc, with translation maps.
 
     vertex_map sends old vertex ids to new ones (both endpoints of the
     contracted edge land on the fresh merged vertex).  edge_map sends old
-    edge ids to new ones, -1 for the contracted edge itself.  Parallel
-    edges between the merged endpoints survive as flagged self-loops.
+    edge or arc ids to new ones, -1 for the contracted one itself.  In an
+    undirected graph, parallel edges between the merged endpoints survive
+    as self-loops flagged in loop_edges; a directed result flags none.
     """
 
-    graph: WeightedMultigraph
+    graph: WeightedMultigraph | DirectedGraph
     contracted_edge: int
     vertex_map: tuple
     edge_map: tuple
     loop_edges: frozenset
-
-    def map_weights(self, w) -> np.ndarray:
-        out = np.empty(self.graph.m, dtype=float)
-        for old, new in enumerate(self.edge_map):
-            if new >= 0:
-                out[new] = w[old]
-        return out
 
     @cached_property
     def edge_map_inverse(self) -> tuple:
@@ -491,69 +468,40 @@ class ContractionResult:
         return Counter({inv[e]: k for e, k in ms.items()})
 
 
+def _contract(n: int, pairs, e: int, u: int, v: int) -> tuple[tuple, list, tuple]:
+    """(vertex_map, kept pairs, edge_map) of merging u and v into a fresh
+    last vertex and dropping pair e."""
+    merged = n - 2
+    others = iter(range(merged))
+    vertex_map = tuple(merged if x in (u, v) else next(others) for x in range(n))
+    kept, edge_map = [], []
+    for old, (a, b) in enumerate(pairs):
+        edge_map.append(-1 if old == e else len(kept))
+        if old != e:
+            kept.append((vertex_map[a], vertex_map[b]))
+    return vertex_map, kept, tuple(edge_map)
+
+
 def contract_edge(g: WeightedMultigraph, e: int) -> ContractionResult:
     """Contract edge e: merge its endpoints into a fresh last vertex."""
     e = check_edge(g, e)
     u, v = g.edges[e]
     if u == v:
         raise SelfLoop(f"edge {e} is a self-loop")
-    merged = g.n - 2
-    vertex_map = []
-    nxt = 0
-    for x in range(g.n):
-        if x == u or x == v:
-            vertex_map.append(merged)
-        else:
-            vertex_map.append(nxt)
-            nxt += 1
-    new_edges = []
-    edge_map = []
-    loops = []
-    for old, (a, b) in enumerate(g.edges):
-        if old == e:
-            edge_map.append(-1)
-            continue
-        na, nb = vertex_map[a], vertex_map[b]
-        new_id = len(new_edges)
-        edge_map.append(new_id)
-        new_edges.append((na, nb))
-        if na == nb and a != b:
-            loops.append(new_id)
-    return ContractionResult(
-        graph=WeightedMultigraph(g.n - 1, tuple(new_edges)),
-        contracted_edge=e,
-        vertex_map=tuple(vertex_map),
-        edge_map=tuple(edge_map),
-        loop_edges=frozenset(loops),
+    vertex_map, kept, edge_map = _contract(g.n, g.edges, e, u, v)
+    loops = frozenset(
+        edge_map[old] for old, (a, b) in enumerate(g.edges) if old != e and {a, b} == {u, v}
     )
+    return ContractionResult(WeightedMultigraph(g.n - 1, kept), e, vertex_map, edge_map, loops)
 
 
-@dataclass(frozen=True)
-class DirectedContractionResult:
-    graph: DirectedGraph
-    contracted_arc: int
-    vertex_map: tuple
-    arc_map: tuple
-
-    @cached_property
-    def arc_map_inverse(self) -> tuple:
-        inv = [-1] * self.graph.m
-        for old, new in enumerate(self.arc_map):
-            if new >= 0:
-                inv[new] = old
-        return tuple(inv)
-
-    def multiset_to_original(self, ms: Counter) -> Counter:
-        inv = self.arc_map_inverse
-        return Counter({inv[e]: k for e, k in ms.items()})
-
-
-def contract_directed(g: DirectedGraph, a: int) -> DirectedContractionResult:
+def contract_directed(g: DirectedGraph, a: int) -> ContractionResult:
     """Contract arc a = (u, v); requires in/out degree 1 at both endpoints.
 
     Under that condition, reachability among surviving vertices is
     unchanged: every walk through u or v goes along the contracted arc.
     """
+    a = check_edge(g, a)
     u, v = g.arcs[a]
     if u == v:
         raise NotContractible(f"arc {a} is a self-loop")
@@ -563,29 +511,8 @@ def contract_directed(g: DirectedGraph, a: int) -> DirectedContractionResult:
                 f"arc {a}=({u},{v}): vertex {x} has degrees "
                 f"({g.in_degree(x)} in, {g.out_degree(x)} out), need (1, 1)"
             )
-    merged = g.n - 2
-    vertex_map = []
-    nxt = 0
-    for x in range(g.n):
-        if x == u or x == v:
-            vertex_map.append(merged)
-        else:
-            vertex_map.append(nxt)
-            nxt += 1
-    new_arcs = []
-    arc_map = []
-    for old, (t, h) in enumerate(g.arcs):
-        if old == a:
-            arc_map.append(-1)
-            continue
-        arc_map.append(len(new_arcs))
-        new_arcs.append((vertex_map[t], vertex_map[h]))
-    return DirectedContractionResult(
-        graph=DirectedGraph(g.n - 1, tuple(new_arcs)),
-        contracted_arc=a,
-        vertex_map=tuple(vertex_map),
-        arc_map=tuple(arc_map),
-    )
+    vertex_map, kept, edge_map = _contract(g.n, g.arcs, a, u, v)
+    return ContractionResult(DirectedGraph(g.n - 1, kept), a, vertex_map, edge_map, frozenset())
 
 
 def read_edge_list(text: str) -> tuple[WeightedMultigraph, np.ndarray]:

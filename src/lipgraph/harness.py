@@ -221,7 +221,7 @@ def _algorithm(alg: str, g, point: dict):
     if alg == "sp":
         eps, s, t = point["epsilon"], point["source"], point["target"]
         return (lambda w, rs: _lip_sp(g, w, s, t, eps, rs), lambda out, w: out.weighted_length(w),
-                lambda w: (_dijkstra(g, w, s)[0][t], 1.0 + eps))
+                lambda w: (_dijkstra(g.adjacency, w, s)[0][t], 1.0 + eps))
     if alg == "sp-unweighted":
         eps, s, t = point["epsilon"], point["source"], point["target"]
         override = point.get("gamma_override")

@@ -23,10 +23,8 @@ against, and back the CLI's ``--emit-gadget``.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -35,8 +33,8 @@ import numpy as np
 from .contraction_sp import sp
 from .coupling import max_overlap_uniform_pair, shift_wrap
 from .errors import BadParams, LipgraphError, MalformedWalk, Unreachable
-from .exact import _dijkstra as _weighted_dijkstra
-from .graphs import DirectedGraph, Walk, WeightedMultigraph, check_edge, check_weights
+from .exact import _dijkstra
+from .graphs import DirectedGraph, Walk, WeightedMultigraph, bfs_walk, check_edge, check_weights
 from .rng import RandomStream
 
 
@@ -232,24 +230,6 @@ def map_walk_back(gadget: GadgetGraph, hat_walk: Walk) -> Walk:
     return Walk(hat_walk.source, hat_walk.target, tuple(steps))
 
 
-def _dijkstra(adj: list, source: int, start: int) -> list:
-    """Hop distances over chain adjacency lists, starting at ``start`` hops
-    at the source."""
-    dist = [_INF] * len(adj)
-    dist[source] = start
-    heap = [(start, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, k, _ in adj[u]:
-            nd = d + k
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 class _ChainTable:
     """Gadget hop distances from (``forward``) or to one gadget vertex.
 
@@ -344,15 +324,20 @@ class ImplicitGadget:
         self.first, self.last, self.length, self.edge, self.direction = columns
         # base[c] is the id of position 1 of chain c; the total is the vertex count
         *self.base, self.n = accumulate((k - 1 for k in self.length), initial=g.n)
-        # (first, length, chain) per last vertex, chains ascending.  Every
-        # chain has a twin of equal length running the other way, so these
-        # lists also serve as out-adjacency, and hop distances between
-        # original vertices are symmetric.
+        # (first, chain) per last vertex, chains ascending.  Every chain has
+        # a twin of equal length running the other way, so these lists also
+        # serve as out-adjacency, and hop distances between original
+        # vertices are symmetric: Dijkstra over them with the chain lengths
+        # gives the gadget's hop distances, as ints.
         self._in = [[] for _ in range(g.n)]
-        for c, (a, z, k, _, _) in enumerate(chains):
-            self._in[z].append((a, k, c))
+        for c, (a, z, *_) in enumerate(chains):
+            self._in[z].append((a, c))
         self._from = {}
         self._to = {}
+
+    def _hops(self, v: int, start: int) -> list:
+        """Hop distances from (and, by symmetry, to) v, counted from ``start``."""
+        return _dijkstra(self._in, self.length, v, start)[0]
 
     def locate(self, v: int) -> tuple[int, int]:
         """(chain, position) of an interior gadget vertex."""
@@ -363,11 +348,10 @@ class ImplicitGadget:
         table = self._from.get(s)
         if table is None:
             if s < self.n_original:
-                table = _ChainTable(self, _dijkstra(self._in, s, 0), True, -1, 0)
+                table = _ChainTable(self, self._hops(s, 0), True, -1, 0)
             else:
                 c, p = self.locate(s)
-                orig = _dijkstra(self._in, self.last[c], self.length[c] - p)
-                table = _ChainTable(self, orig, True, c, p)
+                table = _ChainTable(self, self._hops(self.last[c], self.length[c] - p), True, c, p)
             self._from[s] = table
         return table
 
@@ -375,10 +359,10 @@ class ImplicitGadget:
         table = self._to.get(t)
         if table is None:
             if t < self.n_original:
-                table = _ChainTable(self, _dijkstra(self._in, t, 0), False, -1, 0)
+                table = _ChainTable(self, self._hops(t, 0), False, -1, 0)
             else:
                 c, p = self.locate(t)
-                table = _ChainTable(self, _dijkstra(self._in, self.first[c], p), False, c, p)
+                table = _ChainTable(self, self._hops(self.first[c], p), False, c, p)
             self._to[t] = table
         return table
 
@@ -414,11 +398,12 @@ class ImplicitGadget:
             v = self.first[c]
         while v != s:
             want = ds.orig[v] - 1
-            for a, k, c in self._in[v]:
-                if ds.at(c, k - 1) == want:
+            for a, c in self._in[v]:
+                if ds.at(c, self.length[c] - 1) == want:
                     break
             else:
                 raise LipgraphError(f"no tight chain into gadget vertex {v}")
+            k = self.length[c]
             if c == ds.chain:
                 segments.append((c, ds.pos, k))
                 break
@@ -448,31 +433,11 @@ class ImplicitGadget:
 
 
 def _zero_weight_walk(g: WeightedMultigraph, w, s: int, t: int) -> Walk:
-    """Shortest s-t walk using only zero-weight edges (BFS)."""
-    dist = [-1] * g.n
-    pred: list = [None] * g.n
-    dist[s] = 0
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            break
-        for v, e in g.adjacency[u]:
-            if w[e] == 0 and dist[v] < 0:
-                dist[v] = dist[u] + 1
-                pred[v] = (u, e)
-                queue.append(v)
-    if dist[t] < 0:
-        raise Unreachable("no zero-weight s-t path despite zero optimum")
-    steps = []
-    v = t
-    while v != s:
-        u, e = pred[v]
-        a, bb = g.edges[e]
-        steps.append((e, 1 if (a, bb) == (u, v) else -1))
-        v = u
-    steps.reverse()
-    return Walk(s, t, tuple(steps))
+    """BFS walk from s to t over the zero-weight edges, which connect them
+    when the optimum is zero."""
+    zero = np.flatnonzero(w == 0).tolist()
+    walk = bfs_walk(WeightedMultigraph(g.n, tuple(g.edges[e] for e in zero)), s, t)
+    return Walk(s, t, tuple((zero[e], d) for e, d in walk.steps))
 
 
 @dataclass(frozen=True)
@@ -484,7 +449,7 @@ class LipSpResult:
 
 
 def _optimum(g: WeightedMultigraph, w, s: int, t: int) -> float:
-    opt = _weighted_dijkstra(g, w, s)[0][t]
+    opt = _dijkstra(g.adjacency, w, s)[0][t]
     if opt == _INF:
         raise Unreachable(f"{t} unreachable from {s}")
     return opt
@@ -574,8 +539,8 @@ def _coupled_rounding(g, w, s, t, f, delta, epsilon, rng):
         raise BadParams("delta must be positive and finite")
     w2 = w.copy()
     w2[f] += delta
-    opt1 = _weighted_dijkstra(g, w, s)[0][t]
-    opt2 = _weighted_dijkstra(g, w2, s)[0][t]
+    opt1 = _dijkstra(g.adjacency, w, s)[0][t]
+    opt2 = _dijkstra(g.adjacency, w2, s)[0][t]
     if not (0 < opt1 < float("inf")) or not (0 < opt2 < float("inf")):
         raise BadParams("coupled rounding needs positive finite optima")
     if delta > epsilon * opt1 / (12.0 * g.n):

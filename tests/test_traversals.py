@@ -129,8 +129,8 @@ def test_contract_directed_translates_paths_back(data):
     a = data.draw(st.sampled_from(contractible))
     u, v = g.arcs[a]
     res = contract_directed(g, a)
-    assert res.arc_map[a] == -1
-    for old, new in enumerate(res.arc_map):
+    assert res.edge_map[a] == -1
+    for old, new in enumerate(res.edge_map):
         if new >= 0:
             t, h = g.arcs[old]
             assert res.graph.arcs[new] == (res.vertex_map[t], res.vertex_map[h])
@@ -143,7 +143,7 @@ def test_contract_directed_translates_paths_back(data):
     assert sum(original.values()) == len(arcs) and a not in original
     # the original arcs in path order, with a inserted where the path
     # enters the merged vertex, form a walk of G from p to q
-    inverse = {new: old for old, new in enumerate(res.arc_map) if new >= 0}
+    inverse = {new: old for old, new in enumerate(res.edge_map) if new >= 0}
     steps = []
     for arc in arcs:
         old = inverse[arc]
