@@ -5,8 +5,9 @@ and wrongly shaped weights with BadParams, a NaN or infinite epsilon,
 delta, alpha or regularization weight with BadParams, an epsilon of the
 shortest-path gadget outside (0, 1) with BadParams, and an out-of-range or
 non-integer perturbed edge or cell with InvalidEdge.  A valid edge id
-reaches the keyed draws as a Python int, whatever its type was.  The rule is applied once per
-public call: private cores behind the boundary trust their arrays.
+reaches the keyed draws as a Python int, whatever its type was.  The rule
+is applied once per public call: private cores behind the boundary trust
+their arrays.
 """
 
 import math
