@@ -4,10 +4,10 @@ Every public function that takes weights rejects NaN, infinite, negative
 and wrongly shaped weights with BadParams, a NaN or infinite epsilon,
 delta, alpha or regularization weight with BadParams, an epsilon of the
 shortest-path gadget outside (0, 1) with BadParams, and an out-of-range or
-non-integer perturbed edge or cell with InvalidEdge.  A valid edge id
-reaches the keyed draws as a Python int, whatever its type was.  The rule
-is applied once per public call: private cores behind the boundary trust
-their arrays.
+non-integer perturbed edge or cell with InvalidEdge, and an out-of-range
+or non-integer vertex with BadParams.  A valid edge id reaches the keyed
+draws as a Python int, whatever its type was.  The rule is applied once
+per public call: private cores behind the boundary trust their arrays.
 """
 
 import math
@@ -19,14 +19,22 @@ import pytest
 from lipgraph import graphs
 from lipgraph.bmatch import coupled_plip_mwbm, lp_stability_check, plip_mwbm, solve_lp_ent
 from lipgraph.cli import main as cli_main
+from lipgraph.contraction_sp import rec, sp
 from lipgraph.errors import BadParams, InvalidEdge
-from lipgraph.exact import dijkstra, exact_max_weight_matching, hungarian_bipartite, kruskal_mst
-from lipgraph.graphs import WeightedMultigraph, read_bipartite, write_edge_list
+from lipgraph.exact import (
+    dijkstra,
+    dijkstra_walk,
+    exact_max_weight_matching,
+    hungarian_bipartite,
+    kruskal_mst,
+)
+from lipgraph.graphs import WeightedMultigraph, bfs_walk, read_bipartite, write_edge_list
 from lipgraph.harness import (
     BipartiteInstance,
     ExperimentConfig,
     GraphInstance,
     estimate_bipartite_pointwise,
+    estimate_contraction_sensitivity,
     estimate_lipschitz,
     run_experiment,
 )
@@ -260,3 +268,41 @@ def check_calls(monkeypatch):
 def test_weights_are_checked_once_per_public_call(call, check_calls):
     call()
     assert len(check_calls) == 1
+
+
+def _st_row(alg, t):
+    point = {"epsilon": 0.5, "source": 0, "target": t}
+    return run_experiment(ExperimentConfig(alg, GraphInstance(G, W, "hand"), (point,), 4, 1))
+
+
+VERTEX_ENTRIES = {
+    "dijkstra": lambda t: dijkstra(G, W, t),
+    "dijkstra_walk": lambda t: dijkstra_walk(G, W, 0, t),
+    "bfs_walk": lambda t: bfs_walk(G, 0, t),
+    "lip_sp": lambda t: lip_sp(G, W, 0, t, 0.5, rs()),
+    "lip_sp_run": lambda t: lip_sp_run(G, W, 0, t, 0.5, rs()),
+    "build_gadget": lambda t: build_gadget(G, W, 0, t, 0.5, rs()),
+    "coupled_rounding_st": lambda t: coupled_rounding_st(G, W, 0, t, 0, 1e-3, 0.5, rs()),
+    "coupled_lip_sp": lambda t: coupled_lip_sp(G, W, 0, t, 0, 1e-3, 0.5, rs()),
+    "sp": lambda t: sp(G, 0, t, 0.5, rs()),
+    "rec": lambda t: rec(G, 0, t, 0.01, rs()),
+    "estimate_lipschitz sp": lambda t: estimate_lipschitz(
+        "sp", G, W, 0, 1e-3, 4, 1, point={"epsilon": 0.5, "source": 0, "target": t}
+    ),
+    "run_experiment sp": lambda t: _st_row("sp", t),
+    "run_experiment sp-unweighted": lambda t: _st_row("sp-unweighted", t),
+    # edge 2 = (2, 3) touches neither endpoint
+    "estimate_contraction_sensitivity": lambda t: estimate_contraction_sensitivity(
+        G, 0, t, 0.5, 2, None, 4, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("t", (-1, G.n, pytest.param(2.0, id="float")))
+@pytest.mark.parametrize("name", sorted(VERTEX_ENTRIES))
+def test_public_entries_reject_bad_vertices(name, t):
+    # -1 used to index the last vertex, so walks "to -1" ended elsewhere
+    VERTEX_ENTRIES[name](4)  # a valid target is accepted
+    with pytest.raises(BadParams):
+        VERTEX_ENTRIES[name](t)
+
