@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadParams, LipgraphError, Unreachable
-from .graphs import DirectedGraph, Walk, WeightedMultigraph, bfs_walk
+from .graphs import DirectedGraph, Walk, WeightedMultigraph, _bfs_walk, check_vertex
 
 _INF = float("inf")
 
@@ -88,7 +88,7 @@ class _UndirectedView(_TableView):
         return self.g.hop_dist(t)
 
     def base_walk(self, s, t):
-        return bfs_walk(self.g, s, t)
+        return _bfs_walk(self.g, s, t)
 
 
 class _DirectedView(_TableView):
@@ -191,9 +191,11 @@ def rec(g, s: int, t: int, gamma: float, rng, *, override: bool = False, trace: 
     Per-sample guarantee for every seed: len(walk) <= opt(s,t)^(1+14*gamma).
     """
     RecParams(gamma, override)
+    view = _view(g)
+    s, t = check_vertex(view, s), check_vertex(view, t)
     if s == t:
         return Walk(s, t, ())
-    return _rec(_view(g), s, t, gamma, rng, ("rec",), 0, trace)
+    return _rec(view, s, t, gamma, rng, ("rec",), 0, trace)
 
 
 def sp(
@@ -215,9 +217,10 @@ def sp(
     """
     if not (0 < epsilon < 1):
         raise BadParams("epsilon must lie in (0, 1)")
+    view = _view(g)
+    s, t = check_vertex(view, s), check_vertex(view, t)
     if s == t:
         return Walk(s, t, ())
-    view = _view(g)
     if gamma_override is not None:
         RecParams(gamma_override, override=True)
         gamma = gamma_override

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 
 from .errors import DisconnectedGraph, TooLarge
-from .graphs import Matching, SpanningTree, Walk, WeightedMultigraph, check_weights, walk_back
+from .graphs import Matching, SpanningTree, Walk, WeightedMultigraph, check_vertex, check_weights, walk_back
 
 _INF = float("inf")
 
@@ -23,7 +23,7 @@ def dijkstra(g: WeightedMultigraph, w, s: int) -> tuple[list, list]:
     reach v in the shortest-path tree (-1 at s and unreachable vertices).
     Ties resolve toward the lexicographically smaller (dist, vertex) pop.
     """
-    return _dijkstra(g.adjacency, check_weights(g, w), s)
+    return _dijkstra(g.adjacency, check_weights(g, w), check_vertex(g, s))
 
 
 def _dijkstra(adj, w, s, start=0.0):
@@ -49,6 +49,7 @@ def _dijkstra(adj, w, s, start=0.0):
 
 def dijkstra_walk(g: WeightedMultigraph, w, s: int, t: int) -> Walk | None:
     """A minimum-weight s-t walk from the dijkstra tree, or None."""
+    t = check_vertex(g, t)
     dist, pred = dijkstra(g, w, s)
     return walk_back(g, s, t, pred) if dist[t] < _INF else None
 

@@ -36,6 +36,18 @@ def check_weights(g, w) -> np.ndarray:
     return w
 
 
+def _index(f, shape, kind, error):
+    """f as Python ints within ``shape``: a scalar for one axis, else a tuple."""
+    scalar = len(shape) == 1
+    try:
+        index = tuple(map(operator.index, (f,) if scalar else f))
+    except TypeError:
+        raise error(f"{kind} {f!r} is not an integer index") from None
+    if len(index) != len(shape) or not all(0 <= i < n for i, n in zip(index, shape)):
+        raise error(f"{kind} {f} out of range")
+    return index[0] if scalar else index
+
+
 def check_edge(g, f):
     """Return edge id f of graph g, or cell f = (i, j) of shape g, as Python ints.
 
@@ -43,15 +55,18 @@ def check_edge(g, f):
     draws than the equal int.  A non-integer or out-of-range f raises
     InvalidEdge.
     """
-    cell = isinstance(g, tuple)
-    kind, shape = ("cell", g) if cell else ("edge", (g.m,))
-    try:
-        index = tuple(map(operator.index, f if cell else (f,)))
-    except TypeError:
-        raise InvalidEdge(f"{kind} {f!r} is not an integer index") from None
-    if len(index) != len(shape) or not all(0 <= i < n for i, n in zip(index, shape)):
-        raise InvalidEdge(f"{kind} {f} out of range")
-    return index if cell else index[0]
+    if isinstance(g, tuple):
+        return _index(f, g, "cell", InvalidEdge)
+    return _index(f, (g.m,), "edge", InvalidEdge)
+
+
+def check_vertex(g, v) -> int:
+    """Return vertex v of graph (or view) g as a Python int.
+
+    A non-integer or out-of-range v raises BadParams, as an out-of-range
+    endpoint does in WeightedMultigraph.
+    """
+    return _index(v, (g.n,), "vertex", BadParams)
 
 
 @dataclass(frozen=True)
@@ -363,6 +378,10 @@ def bfs_walk(g: WeightedMultigraph, s: int, t: int) -> Walk | None:
 
     Each hop takes the lowest-id edge from the vertex's BFS parent.
     """
+    return _bfs_walk(g, check_vertex(g, s), check_vertex(g, t))
+
+
+def _bfs_walk(g, s, t):
     dist, _, pred_e = g.bfs_tree(s)
     return walk_back(g, s, t, pred_e) if dist[t] < _INF else None
 

@@ -34,7 +34,7 @@ from .contraction_sp import sp
 from .coupling import max_overlap_uniform_pair, shift_wrap
 from .errors import BadParams, LipgraphError, MalformedWalk, Unreachable
 from .exact import _dijkstra
-from .graphs import DirectedGraph, Walk, WeightedMultigraph, bfs_walk, check_edge, check_weights
+from .graphs import DirectedGraph, Walk, WeightedMultigraph, _bfs_walk, check_edge, check_vertex, check_weights
 from .rng import RandomStream
 
 
@@ -187,6 +187,7 @@ def build_gadget(
     """Sample (b, x) and build the gadget; requires positive s-t optimum."""
     _check_epsilon(epsilon)
     w = check_weights(g, w)
+    s, t = check_vertex(g, s), check_vertex(g, t)
     opt = _optimum(g, w, s, t)
     if opt <= 0:
         raise BadParams("gadget construction needs a positive s-t optimum")
@@ -436,7 +437,7 @@ def _zero_weight_walk(g: WeightedMultigraph, w, s: int, t: int) -> Walk:
     """BFS walk from s to t over the zero-weight edges, which connect them
     when the optimum is zero."""
     zero = np.flatnonzero(w == 0).tolist()
-    walk = bfs_walk(WeightedMultigraph(g.n, tuple(g.edges[e] for e in zero)), s, t)
+    walk = _bfs_walk(WeightedMultigraph(g.n, tuple(g.edges[e] for e in zero)), s, t)
     return Walk(s, t, tuple((zero[e], d) for e, d in walk.steps))
 
 
@@ -462,6 +463,7 @@ def lip_sp_run(
     walk for inspection.  Its walk equals :func:`lip_sp`'s."""
     _check_epsilon(epsilon)
     w = check_weights(g, w)
+    s, t = check_vertex(g, s), check_vertex(g, t)
     if s == t:
         return LipSpResult(Walk(s, t, ()), None, None)
     opt = _optimum(g, w, s, t)
@@ -484,7 +486,7 @@ def lip_sp(
 
     Runs on the implicit gadget; the walk equals :func:`lip_sp_run`'s.
     """
-    return _lip_sp(g, check_weights(g, w), s, t, epsilon, rng)
+    return _lip_sp(g, check_weights(g, w), check_vertex(g, s), check_vertex(g, t), epsilon, rng)
 
 
 def _lip_sp(g, w, s, t, epsilon, rng):
@@ -530,6 +532,7 @@ def coupled_rounding_st(
     x(f) <= delta/b, and all other lengths coincide.  Requires
     delta <= eps*opt/(12 n) so delta never exceeds b.
     """
+    s, t = check_vertex(g, s), check_vertex(g, t)
     return _coupled_rounding(g, check_weights(g, w), s, t, check_edge(g, f), delta, epsilon, rng)
 
 
@@ -574,6 +577,7 @@ def coupled_lip_sp(
     The directed walk routine consumes the same keyed stream in both runs,
     so all pivot and gamma draws are shared positionally.
     """
+    s, t = check_vertex(g, s), check_vertex(g, t)
     return _coupled_lip_sp(g, check_weights(g, w), s, t, check_edge(g, f), delta, epsilon, rng)
 
 
