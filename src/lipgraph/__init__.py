@@ -80,7 +80,7 @@ from .metrics import (
     tv_empirical,
 )
 from .mst import lip_mst, plip_mst
-from .mwm import class_partition, lip_mwm, lip_mwm_eps
+from .mwm import class_partition, lip_mwm
 from .rng import RandomStream
 
 __version__ = "0.1.0"

@@ -243,40 +243,49 @@ class BipartiteMatchResult:
     def weight(self, w) -> float:
         return float(sum(w[i, j] for i, j in self.matching))
 
+    def validate(self, shape) -> None:
+        """Check that every cell lies inside ``shape`` and no row or column is used twice."""
+        for axis, n in enumerate(shape):
+            used = [cell[axis] for cell in self.matching]
+            if len(set(used)) < len(used) or not all(0 <= k < n for k in used):
+                raise BadParams(f"matching {self.matching} reuses or leaves the range of axis {axis}")
 
-def plip_mwbm(
-    nu: int, nv: int, w, epsilon: float, rng: RandomStream, tol: float = 1e-9
-) -> BipartiteMatchResult:
+
+def _b_interval(nu: int, nv: int, w, epsilon: float) -> tuple[float, float]:
+    """Check epsilon and the shape; return the optimum of w and the left end
+    eps*opt/(nU log nV) of B's sampling interval (the right end is twice it)."""
+    if not (0 < epsilon < 0.5):
+        raise BadParams("epsilon must lie in (0, 1/2)")
+    if nv < 2:
+        raise DegenerateShape("need at least two right-side vertices")
+    _, opt = _hungarian(w)
+    return opt, epsilon * opt / (nu * math.log(nv))
+
+
+def plip_mwbm(nu: int, nv: int, w, epsilon: float, rng: RandomStream) -> BipartiteMatchResult:
     """Randomized bipartite matching with expected ratio >= 1/2 - epsilon.
 
     Samples the regularization weight B uniformly from
     [eps*opt/(nU log nV), 2 eps*opt/(nU log nV)], solves the relaxation
     (per-sample guarantee: sum w x >= (1 - 2 eps) opt), and rounds.
     """
-    if not (0 < epsilon < 0.5):
-        raise BadParams("epsilon must lie in (0, 1/2)")
-    if nv < 2:
-        raise DegenerateShape("need at least two right-side vertices")
     w = check_weights((nu, nv), w)
-    _, opt = _hungarian(w)
+    opt, scale = _b_interval(nu, nv, w, epsilon)
     if opt <= 0:
         return BipartiteMatchResult((), None, None, 0.0, 0.0, zero_optimum=True)
-    scale = epsilon * opt / (nu * math.log(nv))
     b_reg = rng.uniform(scale, 2.0 * scale, "bmatch", "B")
-    lp = solve_lp_ent(nu, nv, w, b_reg, tol=tol)
+    lp = solve_lp_ent(nu, nv, w, b_reg)
     transcript = round_matching(lp.x, rng)
     return BipartiteMatchResult(transcript.matching, transcript, lp, b_reg, opt)
 
 
-def lp_stability_check(
-    nu: int, nv: int, w, f: tuple, delta: float, b_reg: float, tol: float = 1e-9
-) -> tuple[float, float]:
+def lp_stability_check(nu: int, nv: int, w, f: tuple, delta: float, b_reg: float) -> tuple[float, float]:
     """Solve both instances and return (|x - x'|_1, sqrt(nU) * delta / B)."""
     w = np.asarray(w, dtype=float)
-    sol1 = solve_lp_ent(nu, nv, w, b_reg, tol=tol)
+    sol1 = solve_lp_ent(nu, nv, w, b_reg)
     w2 = w.copy()
     w2[check_edge((nu, nv), f)] += delta
-    sol2 = solve_lp_ent(nu, nv, w2, b_reg, tol=tol)
+    sol2 = solve_lp_ent(nu, nv, w2, b_reg)
     lhs = float(np.abs(sol1.x - sol2.x).sum())
     return lhs, math.sqrt(nu) * delta / b_reg
 
@@ -302,16 +311,7 @@ def collision_value(y) -> float:
     return float(sum(p / (k + 1.0) for k, p in enumerate(pmf)))
 
 
-def coupled_plip_mwbm(
-    nu: int,
-    nv: int,
-    w,
-    f: tuple,
-    delta: float,
-    epsilon: float,
-    rng: RandomStream,
-    tol: float = 1e-9,
-):
+def coupled_plip_mwbm(nu: int, nv: int, w, f: tuple, delta: float, epsilon: float, rng: RandomStream):
     """Coupled runs on w and w + delta*1_f.
 
     B is coupled with maximal interval overlap; conditioned on equal B the
@@ -319,26 +319,19 @@ def coupled_plip_mwbm(
     given the two fractional solutions.  Returns a dict with both
     matchings, transcript distances and the B agreement flag.
     """
-    if not (0 < epsilon < 0.5):
-        raise BadParams("epsilon must lie in (0, 1/2)")
-    if nv < 2:
-        raise DegenerateShape("need at least two right-side vertices")
     if not 0 < delta < math.inf:
         raise BadParams("delta must be positive and finite")
     w = check_weights((nu, nv), w)
     w2 = w.copy()
     w2[check_edge((nu, nv), f)] += delta
-    _, opt1 = _hungarian(w)
-    _, opt2 = _hungarian(w2)
+    (opt1, s1), (opt2, s2) = _b_interval(nu, nv, w, epsilon), _b_interval(nu, nv, w2, epsilon)
     if opt1 <= 0 or opt2 <= 0:
         raise ZeroOptimum("coupled runs need positive optima")
-    s1 = epsilon * opt1 / (nu * math.log(nv))
-    s2 = epsilon * opt2 / (nu * math.log(nv))
     b1, b2 = max_overlap_uniform_pair(
         rng.random("bmatch", "B"), rng.random("bmatch", "B", "accept"), s1, 2 * s1, s2, 2 * s2
     )
-    lp1 = solve_lp_ent(nu, nv, w, b1, tol=tol)
-    lp2 = solve_lp_ent(nu, nv, w2, b2, tol=tol)
+    lp1 = solve_lp_ent(nu, nv, w, b1)
+    lp2 = solve_lp_ent(nu, nv, w2, b2)
 
     def padded(row):
         slack = max(0.0, 1.0 - row.sum())

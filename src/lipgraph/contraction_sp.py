@@ -253,7 +253,7 @@ def opt_through_edge(g, s: int, t: int, e: int) -> float:
     return float(min(ds[u] + 1.0 + dt[v], ds[v] + 1.0 + dt[u]))
 
 
-def is_active(g, s: int, t: int, e: int, gamma: float, k: int = ACTIVITY_K) -> bool:
+def is_active(g, s: int, t: int, e: int, gamma: float) -> bool:
     """Whether a near-optimal s-t walk passes through e.
 
     A call is active when opt(s,t,e) <= (1 + k*gamma) * opt(s,t) with
@@ -264,4 +264,4 @@ def is_active(g, s: int, t: int, e: int, gamma: float, k: int = ACTIVITY_K) -> b
     opt = view.dist_from(s)[t]
     if opt == _INF:
         raise Unreachable(f"{t} unreachable from {s}")
-    return opt_through_edge(g, s, t, e) <= (1.0 + k * gamma) * opt
+    return opt_through_edge(g, s, t, e) <= (1.0 + ACTIVITY_K * gamma) * opt

@@ -8,6 +8,7 @@ from .errors import DisconnectedGraph, TooLarge
 from .graphs import Matching, SpanningTree, Walk, WeightedMultigraph, check_vertex, check_weights, walk_back
 
 _INF = float("inf")
+_MAX_EDGES = 24  # exact_max_weight_matching's brute-force limit
 
 
 def bfs_dist(g, s: int):
@@ -85,7 +86,7 @@ def _kruskal(g, w):
     return SpanningTree(chosen)
 
 
-def exact_max_weight_matching(g: WeightedMultigraph, w, max_edges: int = 24) -> tuple[Matching, float]:
+def exact_max_weight_matching(g: WeightedMultigraph, w) -> tuple[Matching, float]:
     """Maximum-weight matching by branch and bound over edges.
 
     Limited to m <= 24.  Deterministic: edges are branched in ascending id
@@ -94,8 +95,8 @@ def exact_max_weight_matching(g: WeightedMultigraph, w, max_edges: int = 24) -> 
     earliest) matching found is kept.
     """
     w = check_weights(g, w)
-    if g.m > max_edges:
-        raise TooLarge(f"m={g.m} exceeds brute-force limit {max_edges}")
+    if g.m > _MAX_EDGES:
+        raise TooLarge(f"m={g.m} exceeds brute-force limit {_MAX_EDGES}")
     usable = [e for e in range(g.m) if not g.is_self_loop(e)]
     suffix = [0.0] * (len(usable) + 1)
     for i in range(len(usable) - 1, -1, -1):

@@ -92,13 +92,6 @@ def _draws(g, alpha, rng):
     return rng.uniform(1.0, alpha, "mwm", "b"), rng.permutation(g.n, "mwm", "perm")
 
 
-def lip_mwm_eps(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> Matching:
-    """Epsilon parametrization: alpha = 2 + eps, expected ratio >= 1/8 - eps."""
-    if not (0 < epsilon < 0.125):
-        raise BadParams("epsilon must lie in (0, 1/8)")
-    return lip_mwm(g, w, 2.0 + epsilon, rng)
-
-
 def coupled_lip_mwm(
     g: WeightedMultigraph, w, f: int, delta: float, alpha: float, rng: RandomStream
 ) -> tuple[Matching, Matching, bool]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lipgraph.bmatch import (
+    BipartiteMatchResult,
     _free_direction,
     collision_value,
     coupled_plip_mwbm,
@@ -389,3 +390,14 @@ def test_coupled_plip_mwbm_distances():
             assert out["matching1"] == out["matching2"]
     bound = 2 * delta / opt
     assert b_flips / n <= bound + 3 * np.sqrt(max(bound, 1e-6) / n) + 0.01
+
+
+@pytest.mark.parametrize(
+    "matching",
+    [((0, 0), (0, 1)), ((0, 1), (1, 1)), ((0, 3),), ((2, 0),), ((-1, 0),)],
+    ids=["reused-row", "reused-column", "column-out-of-range", "row-out-of-range", "negative-row"],
+)
+def test_validate_rejects_invalid_matchings(matching):
+    BipartiteMatchResult(((0, 1), (1, 0)), None, None, 0.0, 1.0).validate((2, 3))
+    with pytest.raises(BadParams):
+        BipartiteMatchResult(matching, None, None, 0.0, 1.0).validate((2, 3))

@@ -12,7 +12,6 @@ from lipgraph.mwm import (
     class_partition,
     coupled_lip_mwm,
     lip_mwm,
-    lip_mwm_eps,
     lip_mwm_with_draws,
 )
 from lipgraph.rng import RandomStream
@@ -103,9 +102,6 @@ def test_ratio_on_path_131():
 
 def test_eps_parametrization():
     g = WeightedMultigraph(2, ((0, 1),))
-    assert lip_mwm_eps(g, [1.0], 0.1, RandomStream(0)).edges == frozenset({0})
-    with pytest.raises(BadParams):
-        lip_mwm_eps(g, [1.0], 0.2, RandomStream(0))
     with pytest.raises(BadParams):
         lip_mwm(g, [1.0], 2.0, RandomStream(0))
 
