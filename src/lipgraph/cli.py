@@ -85,11 +85,10 @@ def _grid_points(args, metric: str) -> tuple:
             point = {"epsilon": eps, "alpha": alpha}
             for key in ("source", "target", "gamma_override", "contract_edge"):
                 point[key] = getattr(args, key, None)
-            if getattr(args, "delta", None) is not None:
-                if getattr(args, "perturb_edge", None) is not None:
-                    point.update(edge=args.perturb_edge, delta=args.delta, metric=metric)
-                elif getattr(args, "perturb_cell", None) is not None:
-                    point.update(cell=tuple(args.perturb_cell), delta=args.delta)
+            cell = getattr(args, "perturb_cell", None)
+            edge = getattr(args, "perturb_edge", None) if cell is None else tuple(cell)
+            if edge is not None and getattr(args, "delta", None) is not None:
+                point.update(edge=edge, delta=args.delta, metric=metric)
             points.append({k: v for k, v in point.items() if v is not None})
     return tuple(points)
 
@@ -142,7 +141,7 @@ def _dispatch(args) -> int:
     pointwise = getattr(args, "pointwise", False)
     config = ExperimentConfig(
         algorithm="pmst" if pointwise else args.command, instance=inst,
-        grid=_grid_points(args, "unweighted" if pointwise else "weighted"),
+        grid=_grid_points(args, "unweighted" if pointwise or args.command == "bmatch" else "weighted"),
         trials=args.trials, seed=args.seed, check=args.check, timing=args.timing,
     )
     _emit(args, run_experiment(config))

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .graphs import (
     ContractionResult,
     WeightedMultigraph,
     check_edge,
+    check_vertex,
     check_weights,
     contract_edge,
     read_bipartite,
@@ -205,25 +207,41 @@ def gen_instance(kind: str, params: dict | None, seed: int):
 # algorithm adapters
 
 
-def _algorithm(alg: str, g, point: dict):
-    """(run, value, bound) of one algorithm at one grid point.
+Algorithm = namedtuple("Algorithm", "run value bound pair multiset", defaults=(attrgetter("multiset"),))
 
-    ``run(w, stream)`` returns one output (with a ``multiset``),
+
+def _multisets(*outs):
+    return tuple(out.multiset for out in outs)
+
+
+def _algorithm(alg: str, g, point: dict) -> Algorithm:
+    """The harness's one table: an algorithm at one grid point, on graph
+    ``g`` or, for bmatch, shape (nU, nV), where cell (i, j) is edge i * nV + j.
+
+    ``run(w, stream)`` returns one output, ``multiset(out)`` its edges,
     ``value(out, w)`` its objective value, and ``bound(w)`` the exact
-    optimum with the guarantee column's value.  The estimators use only
-    ``run``, so no exact optimum is solved until ``bound`` is called.
-    Graph weights must have passed ``check_weights``: cores trust them.
+    optimum with the guarantee column's value.  ``pair(w, f, delta,
+    stream)`` returns the multisets of a coupled pair of runs on w and on w
+    with edge f moved by delta (down for mwm); sp-unweighted has none.
+    Estimators never call ``bound``, the only exact solve.  Cores trust
+    their weights and edge ids: the callers apply the rules.
     """
-    if alg in ("mst", "pmst"):
-        eps, lip = point["epsilon"], _lip_mst if alg == "mst" else _plip_mst
-        return (lambda w, rs: lip(g, w, eps, rs).tree, lambda out, w: out.weight(w),
-                lambda w: (_kruskal(g, w).weight(w), 1.0 + eps))
-    if alg == "sp":
-        eps, s, t = point["epsilon"], point["source"], point["target"]
-        return (lambda w, rs: _lip_sp(g, w, s, t, eps, rs), lambda out, w: out.weighted_length(w),
-                lambda w: (_dijkstra(g.adjacency, w, s)[0][t], 1.0 + eps))
-    if alg == "sp-unweighted":
-        eps, s, t = point["epsilon"], point["source"], point["target"]
+    if alg == "mst":
+        eps = point["epsilon"]
+        return Algorithm(lambda w, rs: _lip_mst(g, w, eps, rs).tree, lambda out, w: out.weight(w),
+                         lambda w: (_kruskal(g, w).weight(w), 1.0 + eps),
+                         lambda w, f, d, rs: _multisets(*_coupled_lip_mst(g, w, f, d, eps, rs)))
+    if alg == "pmst":
+        eps = point["epsilon"]
+        return Algorithm(lambda w, rs: _plip_mst(g, w, eps, rs).tree, lambda out, w: out.weight(w),
+                         lambda w: (_kruskal(g, w).weight(w), 1.0 + eps),
+                         lambda w, f, d, rs: _multisets(*(r.tree for r in _coupled_plip_mst(g, w, f, d, eps, rs))))
+    if alg in ("sp", "sp-unweighted"):
+        eps, s, t = point["epsilon"], check_vertex(g, point["source"]), check_vertex(g, point["target"])
+        if alg == "sp":
+            return Algorithm(lambda w, rs: _lip_sp(g, w, s, t, eps, rs), lambda out, w: out.weighted_length(w),
+                             lambda w: (_dijkstra(g.adjacency, w, s)[0][t], 1.0 + eps),
+                             lambda w, f, d, rs: _multisets(*_coupled_lip_sp(g, w, s, t, f, d, eps, rs)))
         override = point.get("gamma_override")
 
         def bound(w):
@@ -232,41 +250,28 @@ def _algorithm(alg: str, g, point: dict):
                 return opt, 1.0 + eps
             return opt, float(opt) ** (1.0 + 14.0 * override) / opt if opt > 0 else 1.0
 
-        return lambda w, rs: sp(g, s, t, eps, rs, gamma_override=override), lambda out, w: len(out), bound
+        return Algorithm(lambda w, rs: sp(g, s, t, eps, rs, gamma_override=override),
+                         lambda out, w: len(out), bound, None)
     if alg == "mwm":
         alpha = point["alpha"]
         if not 2 < alpha < math.inf:  # checked here too: bound() divides by alpha before any run
             raise BadParams("alpha must exceed 2 and be finite")
-        return (lambda w, rs: _lip_mwm(g, w, alpha, rs), lambda out, w: out.weight(w),
-                lambda w: (exact_max_weight_matching(g, w)[1], 1.0 / (4.0 * alpha)))
+        return Algorithm(lambda w, rs: _lip_mwm(g, w, alpha, rs), lambda out, w: out.weight(w),
+                         lambda w: (exact_max_weight_matching(g, w)[1], 1.0 / (4.0 * alpha)),
+                         lambda w, f, d, rs: _multisets(*_coupled_lip_mwm(g, w, f, d, alpha, rs)[:2]))
     if alg == "bmatch":
-        eps = point["epsilon"]
-        return (lambda w, rs: plip_mwbm(*w.shape, w, eps, rs), lambda out, w: out.weight(w),
-                lambda w: (_hungarian(w)[1], 0.5 - eps))
+        eps, nv = point["epsilon"], g[1]
+
+        def cells(matching):
+            return Counter({i * nv + j: 1 for i, j in matching})
+
+        def pair(w, f, delta, rs):
+            out = coupled_plip_mwbm(*g, w, f, delta, eps, rs)
+            return cells(out["matching1"]), cells(out["matching2"])
+
+        return Algorithm(lambda w, rs: plip_mwbm(*g, w, eps, rs), lambda out, w: out.weight(w),
+                         lambda w: (_hungarian(w)[1], 0.5 - eps), pair, lambda out: cells(out.matching))
     raise BadParams(f"unknown algorithm {alg!r}")
-
-
-def _coupled_run(alg: str, g, w, f: int, delta: float, point: dict, stream: RandomStream):
-    if alg == "mst":
-        t1, t2 = _coupled_lip_mst(g, w, f, delta, point["epsilon"], stream)
-        return t1.multiset, t2.multiset
-    if alg == "pmst":
-        r1, r2 = _coupled_plip_mst(g, w, f, delta, point["epsilon"], stream)
-        return r1.tree.multiset, r2.tree.multiset
-    if alg == "sp":
-        w1, w2 = _coupled_lip_sp(
-            g, w, point["source"], point["target"], f, delta, point["epsilon"], stream
-        )
-        return w1.multiset, w2.multiset
-    if alg == "mwm":
-        m1, m2, _ = _coupled_lip_mwm(g, w, f, delta, point["alpha"], stream)
-        return m1.multiset, m2.multiset
-    raise BadParams(f"no coupled adapter for algorithm {alg!r}")
-
-
-def perturbation_direction(alg: str) -> int:
-    """+1 bumps the weight up, -1 down (matching drops weights)."""
-    return -1 if alg == "mwm" else 1
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -278,26 +283,27 @@ def _mean_stderr(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def emd_between_samples(samples1, samples2, cost, batches: int = 4) -> tuple[float, float]:
-    """EMD between two sample sets plus a batched standard error."""
+def emd_between_samples(samples1, samples2, cost) -> tuple[float, float]:
+    """Plug-in EMD between two sample sets, and ``emd_stderr``.
+
+    ``emd_stderr`` is the spread of four quarter-size plug-in EMDs (the
+    sample standard deviation of the EMDs between matching quarters of the
+    two lists) divided by 2.  It is not the error of the full-size EMD and
+    does not measure the plug-in bias.  It is 0 below eight samples a side.
+    """
     p = EdgeSetDistribution.from_samples(samples1)
     q = EdgeSetDistribution.from_samples(samples2)
     value = emd_empirical(p, q, cost)
     n = min(len(samples1), len(samples2))
-    if n < 2 * batches:
+    if n < 8:
         return value, 0.0
     per_batch = []
-    size = n // batches
-    for k in range(batches):
+    size = n // 4
+    for k in range(4):
         pk = EdgeSetDistribution.from_samples(samples1[k * size : (k + 1) * size])
         qk = EdgeSetDistribution.from_samples(samples2[k * size : (k + 1) * size])
         per_batch.append(emd_empirical(pk, qk, cost))
-    spread = float(np.std(per_batch, ddof=1) / math.sqrt(batches))
-    return value, spread
-
-
-def _unweighted(a: str, b: str):
-    return unweighted_cost
+    return value, float(np.std(per_batch, ddof=1) / 2.0)
 
 
 def _estimate(metric, delta, trials, seed, pair, single, cost):
@@ -352,18 +358,22 @@ def _lipschitz(alg, g, w, f, delta, trials, seed, metric, point):
     if metric not in ("weighted", "unweighted"):
         raise BadParams("metric must be 'weighted' or 'unweighted'")
     w = check_weights(g, w)
+    g = w.shape if g is None else g  # a bipartite matrix: its shape plays the graph's part
     f = check_edge(g, f)
-    point = dict(point or {})
+    algo = _algorithm(alg, g, dict(point or {}))
+    if algo.pair is None:
+        raise BadParams(f"no coupled adapter for algorithm {alg!r}")
     w2 = w.copy()
-    w2[f] += perturbation_direction(alg) * delta
+    w2[f] += -delta if alg == "mwm" else delta  # matching drops the weight
     if w2[f] < 0:
         raise BadParams("downward perturbation below zero")
-    run, ws = _algorithm(alg, g, point)[0], {"p": w, "q": w2}
+    ws = {"p": w, "q": w2}
     return _estimate(
         metric, delta, trials, seed,
-        lambda stream: _coupled_run(alg, g, w, f, delta, point, stream),
-        lambda side, stream: run(ws[side], stream).multiset,
-        (lambda a, b: weighted_cost(ws[a], ws[b])) if metric == "weighted" else _unweighted,
+        lambda stream: algo.pair(w, f, delta, stream),
+        lambda side, stream: algo.multiset(algo.run(ws[side], stream)),
+        # cell (i, j) is edge i * nV + j, its index in the flattened matrix
+        lambda a, b: weighted_cost(ws[a].ravel(), ws[b].ravel()) if metric == "weighted" else unweighted_cost,
     )
 
 
@@ -381,31 +391,7 @@ def estimate_bipartite_pointwise(
     symmetric-difference metric.  Coupled runs share (B, row, column)
     randomness; the EMD route samples both instances independently.
     """
-    return _bipartite(w, cell, delta, epsilon, trials, seed)[0]
-
-
-def _bipartite(w, cell, delta, epsilon, trials, seed):
-    if not 0 < delta < math.inf:
-        raise BadParams("delta must be positive and finite")
-    w = check_weights(None, w)
-    nu, nv = w.shape
-    cell = check_edge(w.shape, cell)
-    w2 = w.copy()
-    w2[cell] += delta
-    ws = {"p": w, "q": w2}
-
-    def ids(matching):
-        return Counter({i * nv + j: 1 for i, j in matching})
-
-    def pair(stream):
-        out = coupled_plip_mwbm(nu, nv, w, cell, delta, epsilon, stream)
-        return ids(out["matching1"]), ids(out["matching2"])
-
-    return _estimate(
-        "unweighted", delta, trials, seed, pair,
-        lambda side, stream: ids(plip_mwbm(nu, nv, ws[side], epsilon, stream).matching),
-        _unweighted,
-    )
+    return _lipschitz("bmatch", None, w, cell, delta, trials, seed, "unweighted", {"epsilon": epsilon})[0]
 
 
 def estimate_contraction_sensitivity(
@@ -424,6 +410,7 @@ def estimate_contraction_sensitivity(
     full keyed stream, so pivot draws align positionally across the two
     graphs; walks from G/e are translated back to original edge ids.
     """
+    s, t = check_vertex(g, s), check_vertex(g, t)
     u, v = g.edges[check_edge(g, e)]
     if u in (s, t) or v in (s, t):
         raise InvalidEdge("contracted edge must not touch the endpoints")
@@ -439,7 +426,7 @@ def estimate_contraction_sensitivity(
         "unweighted", None, trials, seed,
         lambda stream: (walk["p"](stream), walk["q"](stream)),
         lambda side, stream: walk[side](stream),
-        _unweighted,
+        lambda a, b: unweighted_cost,
     )[0]
 
 
@@ -485,29 +472,24 @@ def _point_row(config: ExperimentConfig, point: dict) -> dict:
     inst, trials, seed = config.instance, config.trials, config.seed
     bipartite = isinstance(inst, BipartiteInstance)
     w = check_weights(None if bipartite else inst.graph, inst.weights)
-    if bipartite:
-        alg, g, (n, m), cell = "bmatch", None, w.shape, point.get("cell")
-        point = {"epsilon": point["epsilon"], "delta": point.get("delta"), "edge": cell,
-                 "metric": None if cell is None else "unweighted"}
-    else:
-        alg, g = config.algorithm, inst.graph
-        n, m = g.n, g.m
-        if alg == "mwm" and point.get("alpha") is None:
-            point = dict(point, alpha=2.0 + point["epsilon"])
-    run, value, bound = _algorithm(alg, g, point)
-    opt, guarantee = bound(w)
+    alg, g = ("bmatch", w.shape) if bipartite else (config.algorithm, inst.graph)
+    n, m = w.shape if bipartite else (g.n, g.m)
+    if alg == "mwm" and point.get("alpha") is None:
+        point = dict(point, alpha=2.0 + point["epsilon"])
+    algo = _algorithm(alg, g, point)
+    opt, guarantee = algo.bound(w)
     base = RandomStream(seed)
     ratios, violations = [], 0
     for k in range(trials):
-        out = run(w, base.sub("trial", k))
-        val = value(out, w)
+        out = algo.run(w, base.sub("trial", k))
+        val = algo.value(out, w)
         ratio = val / opt if opt > 0 else (1.0 if val == 0 else math.inf)
         ratios.append(ratio)
         if alg == "sp-unweighted":
             violations += ratio > guarantee + 1e-9
         elif alg in ("mst", "pmst", "sp"):
             violations += val > guarantee * opt + 1e-9
-        if config.check and not bipartite:
+        if config.check:
             out.validate(g)
     row = {
         "algorithm": alg,
@@ -537,10 +519,7 @@ def _point_row(config: ExperimentConfig, point: dict) -> dict:
                 point.get("gamma_override"), trials, seed,
             )
     elif delta is not None and edge is not None:
-        est, null = (
-            _bipartite(w, tuple(edge), delta, point["epsilon"], trials, seed) if bipartite
-            else _lipschitz(alg, g, w, edge, delta, trials, seed, point.get("metric", "weighted"), point)
-        )
+        est, null = _lipschitz(alg, g, w, edge, delta, trials, seed, point.get("metric", "weighted"), point)
     if est is not None:
         row.update(
             coupled_estimate=est.coupled_mean,

@@ -1,5 +1,8 @@
 """Instance generators, stability estimators, CSV runner, CLI."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from lipgraph.cli import main as cli_main
 from lipgraph.errors import BadParams, InvalidEdge
 from lipgraph.graphs import WeightedMultigraph, write_edge_list
 from lipgraph.harness import (
+    BipartiteInstance,
     ExperimentConfig,
     GraphInstance,
+    estimate_bipartite_pointwise,
     estimate_contraction_sensitivity,
     estimate_lipschitz,
     gen_instance,
@@ -99,6 +104,61 @@ def test_estimate_bipartite_pointwise():
     assert est.coupled_mean >= est.emd - 3 * (est.coupled_stderr + est.emd_stderr) - 1e-9
     with pytest.raises(InvalidEdge):
         estimate_bipartite_pointwise(inst.weights, (5, 0), 0.01, 0.1, 10, 0)
+
+
+B = np.array([[1.0, 0.2, 0.1], [0.3, 0.9, 0.2]])
+G = gen_instance("random-gnm", {"n": 8, "m": 16}, 12)
+
+
+def _point_estimate(alg, metric):
+    if alg == "bmatch":
+        return estimate_bipartite_pointwise(B, (0, 1), 0.05, 0.1, 30, 4)
+    point, f, delta = {
+        "mst": ({"epsilon": 0.5}, 4, 0.05),
+        "pmst": ({"epsilon": 0.5}, 4, 0.05),
+        "sp": ({"epsilon": 0.5, "source": 0, "target": 5}, 4, 0.02),
+        "mwm": ({"alpha": 2.1}, 3, 0.05),
+    }[alg]
+    return estimate_lipschitz(alg, G.graph, G.weights, f, delta, 30, 4, metric, point)
+
+
+CLI_ROWS = {
+    "mst": ["mst", "--input", "g.txt", "--epsilon", "0.5", "--perturb-edge", "4", "--delta", "0.05"],
+    "pmst": ["mst", "--input", "g.txt", "--epsilon", "0.5", "--pointwise", "--perturb-edge", "4",
+             "--delta", "0.05"],
+    "sp": ["sp", "--input", "g.txt", "--source", "0", "--target", "5", "--epsilon", "0.5",
+           "--perturb-edge", "4", "--delta", "0.02"],
+    "mwm": ["mwm", "--input", "g.txt", "--alpha", "2.1", "--perturb-edge", "3", "--delta", "0.05"],
+    "bmatch": ["bmatch", "--input", "b.txt", "--epsilon", "0.1", "--perturb-cell", "0", "1",
+               "--delta", "0.05"],
+}
+
+
+def _assert_row_reports(row, est):
+    for column, attr in (("coupled_estimate", "coupled_mean"), ("coupled_stderr", "coupled_stderr"),
+                         ("emd_estimate", "emd"), ("emd_stderr", "emd_stderr")):
+        assert float(row[column]) == getattr(est, attr), column
+
+
+@pytest.mark.parametrize("alg", sorted(CLI_ROWS))
+def test_perturbed_row_reports_the_public_estimate(alg, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(write_edge_list(G.graph, G.weights))
+    (tmp_path / "b.txt").write_text("2 3\n1.0 0.2 0.1\n0.3 0.9 0.2\n")
+    assert cli_main(CLI_ROWS[alg] + ["--trials", "30", "--seed", "4", "--csv", "out.csv", "--quiet"]) == 0
+    (row,) = csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text().split("\n", 1)[1]))
+    _assert_row_reports(row, _point_estimate(alg, row["metric"]))
+
+
+def test_bipartite_row_takes_the_weighted_metric():
+    # cell (i, j) is edge i * nV + j, so the weighted metric prices it at w[i, j]
+    point = {"epsilon": 0.1}
+    grid = (dict(point, edge=(0, 1), delta=0.05, metric="weighted"),)
+    text = run_experiment(ExperimentConfig("bmatch", BipartiteInstance(B, "b"), grid, 30, 4))
+    (row,) = csv.DictReader(io.StringIO(text.split("\n", 1)[1]))
+    est = estimate_lipschitz("bmatch", None, B, (0, 1), 0.05, 30, 4, "weighted", point)
+    _assert_row_reports(row, est)
+    assert est != estimate_lipschitz("bmatch", None, B, (0, 1), 0.05, 30, 4, "unweighted", point)
 
 
 def test_cli_bmatch_perturb_cell(tmp_path, capsys):
@@ -238,6 +298,24 @@ def test_cli_sp_and_contraction(graph_file, capsys):
     assert len(rows) == 3
 
 
+def test_cli_bmatch_check_validates_every_matching(bip_file, monkeypatch, capsys):
+    from lipgraph.bmatch import BipartiteMatchResult
+
+    calls = []
+    validate = BipartiteMatchResult.validate
+
+    def spy(self, shape):
+        calls.append(shape)
+        return validate(self, shape)
+
+    monkeypatch.setattr(BipartiteMatchResult, "validate", spy)
+    assert cli_main(
+        ["bmatch", "--input", bip_file, "--epsilon", "0.1", "--perturb-cell", "0", "1",
+         "--delta", "0.01", "--trials", "20", "--seed", "3", "--check"]
+    ) == 0, capsys.readouterr().err
+    assert calls == [(2, 3)] * 20
+
+
 def test_cli_bmatch_and_dump(bip_file, capsys):
     assert cli_main(
         ["bmatch", "--input", bip_file, "--epsilon", "0.1", "--trials", "10", "--seed", "0"]
@@ -342,13 +420,13 @@ def test_check_rejects_broken_coupling(tmp_path, monkeypatch, capsys):
     row = run_experiment(cfg).strip().splitlines()[-1].split(",")
     assert row[-6:] == ["2.0", "0.0", "4.0", "2.0", "0.0", "4.0"]
 
-    coupled = harness._coupled_run
+    coupled = harness._coupled_lip_mst
 
     def unperturbed_twice(*args):
-        ms1, _ = coupled(*args)
-        return ms1, ms1
+        t1, _ = coupled(*args)
+        return t1, t1
 
-    monkeypatch.setattr(harness, "_coupled_run", unperturbed_twice)
+    monkeypatch.setattr(harness, "_coupled_lip_mst", unperturbed_twice)
     with pytest.raises(CheckFailure):
         run_experiment(cfg)
     path = tmp_path / "g.txt"
