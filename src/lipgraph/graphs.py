@@ -55,17 +55,13 @@ def check_edge(g, f):
     draws than the equal int.  A non-integer or out-of-range f raises
     InvalidEdge.
     """
-    if isinstance(g, tuple):
-        return _index(f, g, "cell", InvalidEdge)
-    return _index(f, (g.m,), "edge", InvalidEdge)
+    cell = isinstance(g, tuple)
+    return _index(f, g if cell else (g.m,), "cell" if cell else "edge", InvalidEdge)
 
 
 def check_vertex(g, v) -> int:
-    """Return vertex v of graph (or view) g as a Python int.
-
-    A non-integer or out-of-range v raises BadParams, as an out-of-range
-    endpoint does in WeightedMultigraph.
-    """
+    """Return vertex v of graph (or view) g as a Python int; a non-integer or
+    out-of-range v raises BadParams, as a bad WeightedMultigraph endpoint does."""
     return _index(v, (g.n,), "vertex", BadParams)
 
 

@@ -348,7 +348,8 @@ def estimate_lipschitz(
     metric: str = "weighted",
     point: dict | None = None,
 ) -> LipschitzEstimate:
-    """Coupled and empirical-EMD stability estimates for one perturbation."""
+    """Coupled and empirical-EMD stability estimates for one perturbation
+    (for "bmatch", g is None and f a cell (i, j) of the matrix w)."""
     return _lipschitz(alg, g, w, f, delta, trials, seed, metric, point)[0]
 
 
