@@ -1,15 +1,23 @@
-"""Coupling primitives: exact marginals, maximal agreement probability."""
+"""Coupling primitives: exact marginals, maximal agreement probability;
+coupled pairs whose first run is the single-sample run."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from lipgraph.bmatch import coupled_plip_mwbm, plip_mwbm
 from lipgraph.coupling import (
     couple_discrete,
     max_overlap_uniform_pair,
     shift_wrap,
     uniform_tv,
 )
+from lipgraph.exact import dijkstra
+from lipgraph.harness import gen_instance
+from lipgraph.lip_sp import coupled_lip_sp, lip_sp
+from lipgraph.mst import coupled_lip_mst, coupled_plip_mst, lip_mst, plip_mst
+from lipgraph.mwm import coupled_lip_mwm, lip_mwm
+from lipgraph.rng import RandomStream
 
 N = 200_000
 
@@ -113,3 +121,32 @@ def test_couple_discrete_identical_distributions():
     for u in (0.1, 0.6, 0.9):
         i, j = couple_discrete(u, 0.99, pmf, pmf)
         assert i == j
+
+
+# --- the first run of a coupled pair is the single-sample run ----------------
+
+GNM = gen_instance("random-gnm", {"n": 7, "m": 12}, 3)
+SP_DELTA = 0.5 * 0.5 * dijkstra(GNM.graph, GNM.weights, 0)[0][6] / (12 * GNM.graph.n)
+BIP = np.random.default_rng(1).random((4, 5))
+
+SIDE_ONE = {
+    "mst": (lambda rs: coupled_lip_mst(GNM.graph, GNM.weights, 4, 0.5, 0.5, rs)[0],
+            lambda rs: lip_mst(GNM.graph, GNM.weights, 0.5, rs).tree),
+    "pmst": (lambda rs: coupled_plip_mst(GNM.graph, GNM.weights, 4, 0.5, 0.5, rs)[0].tree,
+             lambda rs: plip_mst(GNM.graph, GNM.weights, 0.5, rs).tree),
+    "sp": (lambda rs: coupled_lip_sp(GNM.graph, GNM.weights, 0, 6, 4, SP_DELTA, 0.5, rs)[0],
+           lambda rs: lip_sp(GNM.graph, GNM.weights, 0, 6, 0.5, rs)),
+    "mwm": (lambda rs: coupled_lip_mwm(GNM.graph, GNM.weights, 4, 0.5, 2.1, rs)[0],
+            lambda rs: lip_mwm(GNM.graph, GNM.weights, 2.1, rs)),
+    "bmatch": (lambda rs: coupled_plip_mwbm(4, 5, BIP, (1, 2), 0.05, 0.1, rs)["matching1"],
+               lambda rs: plip_mwbm(4, 5, BIP, 0.1, rs).matching),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIDE_ONE))
+def test_coupled_first_run_is_the_single_run(name):
+    # the coupling keeps the unperturbed run's draws and derives only the
+    # perturbed run from them, so side 1 is the single-sample output
+    coupled, single = SIDE_ONE[name]
+    for seed in range(300):
+        assert coupled(RandomStream(seed)) == single(RandomStream(seed)), seed

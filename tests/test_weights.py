@@ -19,7 +19,7 @@ import pytest
 from lipgraph import graphs
 from lipgraph.bmatch import coupled_plip_mwbm, lp_stability_check, plip_mwbm, solve_lp_ent
 from lipgraph.cli import main as cli_main
-from lipgraph.contraction_sp import rec, sp
+from lipgraph.contraction_sp import is_active, opt_through, opt_through_edge, pivot_set, rec, sample_pivot, sp
 from lipgraph.errors import BadParams, InvalidEdge
 from lipgraph.exact import (
     dijkstra,
@@ -197,6 +197,8 @@ COUPLED = {
     "coupled_plip_mwbm": lambda f: coupled_plip_mwbm(3, 3, B, (f, 0), 0.05, 0.1, rs()),
     "estimate_bipartite_pointwise": lambda f: estimate_bipartite_pointwise(B, (0, f), 0.05, 0.1, 2, 1),
     "lp_stability_check": lambda f: lp_stability_check(3, 3, B, (f, 0), 0.05, 0.1),
+    "opt_through_edge": lambda f: opt_through_edge(G, 0, 4, f),
+    "is_active": lambda f: is_active(G, 0, 4, f, 0.01),
 }
 
 
@@ -286,6 +288,12 @@ VERTEX_ENTRIES = {
     "coupled_lip_sp": lambda t: coupled_lip_sp(G, W, 0, t, 0, 1e-3, 0.5, rs()),
     "sp": lambda t: sp(G, 0, t, 0.5, rs()),
     "rec": lambda t: rec(G, 0, t, 0.01, rs()),
+    "pivot_set": lambda t: pivot_set(G, 0, t, 0.5, 0.1),
+    "sample_pivot": lambda t: sample_pivot(G, 0, t, 0.5, 0.1, rs()),
+    "opt_through": lambda t: opt_through(G, 0, t, 2),
+    "opt_through vertex": lambda t: opt_through(G, 0, 4, t),
+    "opt_through_edge": lambda t: opt_through_edge(G, 0, t, 0),
+    "is_active": lambda t: is_active(G, 0, t, 0, 0.01),
     "estimate_lipschitz sp": lambda t: estimate_lipschitz(
         "sp", G, W, 0, 1e-3, 4, 1, point={"epsilon": 0.5, "source": 0, "target": t}
     ),
