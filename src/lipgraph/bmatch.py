@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import couple_discrete, max_overlap_uniform_pair
+from .coupling import discrete_partner, uniform_partner
 from .errors import BadParams, DegenerateShape, NoConvergence, ZeroOptimum
 from .exact import _hungarian
 from .graphs import check_edge, check_weights
@@ -204,30 +204,25 @@ def round_matching(x: np.ndarray, rng: RandomStream) -> RoundingTranscript:
     rows of column j.  One keyed uniform per row and per column.
     """
     x = np.asarray(x, dtype=float)
-    nu, nv = x.shape
     if np.any(x.sum(axis=1) > 1.0 + 1e-9):
         raise BadParams("row sums must not exceed 1")
-    p = []
+    p = [sample_row_choice(row, rng.random("round", "p", i)) for i, row in enumerate(x)]
+    return _choose_columns(p, x.shape[1], lambda j, rows: rows[rng.randint(len(rows), "round", "q", j)])
+
+
+def _choose_columns(p, nv: int, pick) -> RoundingTranscript:
+    """The column stage for row choices p: column j keeps pick(j, rows) of
+    its candidate rows, or -1 when it has none."""
     cands: list = [[] for _ in range(nv)]
-    for i in range(nu):
-        j = sample_row_choice(x[i], rng.random("round", "p", i))
-        p.append(j)
+    for i, j in enumerate(p):
         if j >= 0:
             cands[j].append(i)
-    q = []
-    matching = []
-    for j in range(nv):
-        if cands[j]:
-            pick = cands[j][rng.randint(len(cands[j]), "round", "q", j)]
-            q.append(pick)
-            matching.append((pick, j))
-        else:
-            q.append(-1)
+    q = [pick(j, rows) if rows else -1 for j, rows in enumerate(cands)]
     return RoundingTranscript(
         p=tuple(p),
-        candidates=tuple(tuple(c) for c in cands),
+        candidates=tuple(map(tuple, cands)),
         q=tuple(q),
-        matching=tuple(sorted(matching)),
+        matching=tuple(sorted((i, j) for j, i in enumerate(q) if i >= 0)),
     )
 
 
@@ -270,11 +265,14 @@ def plip_mwbm(nu: int, nv: int, w, epsilon: float, rng: RandomStream) -> Biparti
     (per-sample guarantee: sum w x >= (1 - 2 eps) opt), and rounds.
     """
     w = check_weights((nu, nv), w)
-    opt, scale = _b_interval(nu, nv, w, epsilon)
+    return _plip_mwbm(w, *_b_interval(nu, nv, w, epsilon), rng)
+
+
+def _plip_mwbm(w, opt, scale, rng):
     if opt <= 0:
         return BipartiteMatchResult((), None, None, 0.0, 0.0, zero_optimum=True)
     b_reg = rng.uniform(scale, 2.0 * scale, "bmatch", "B")
-    lp = solve_lp_ent(nu, nv, w, b_reg)
+    lp = solve_lp_ent(*w.shape, w, b_reg)
     transcript = round_matching(lp.x, rng)
     return BipartiteMatchResult(transcript.matching, transcript, lp, b_reg, opt)
 
@@ -314,10 +312,13 @@ def collision_value(y) -> float:
 def coupled_plip_mwbm(nu: int, nv: int, w, f: tuple, delta: float, epsilon: float, rng: RandomStream):
     """Coupled runs on w and w + delta*1_f.
 
-    B is coupled with maximal interval overlap; conditioned on equal B the
-    row choices p(i) and the column choices q(j) are coupled maximally
-    given the two fractional solutions.  Returns a dict with both
-    matchings, transcript distances and the B agreement flag.
+    The first run is :func:`plip_mwbm`'s.  The second run's B is the
+    partner of the first's across the two sampling intervals, each row
+    choice p2(i) the partner of p1(i) given the two fractional rows (with
+    the slack as choice -1), and each column choice q2(j) the partner of
+    q1(j) given the two candidate sets, or a draw of its own when column j
+    has no candidate in the first run.  Returns a dict with both matchings,
+    transcript distances and the B agreement flag.
     """
     if not 0 < delta < math.inf:
         raise BadParams("delta must be positive and finite")
@@ -327,65 +328,41 @@ def coupled_plip_mwbm(nu: int, nv: int, w, f: tuple, delta: float, epsilon: floa
     (opt1, s1), (opt2, s2) = _b_interval(nu, nv, w, epsilon), _b_interval(nu, nv, w2, epsilon)
     if opt1 <= 0 or opt2 <= 0:
         raise ZeroOptimum("coupled runs need positive optima")
-    b1, b2 = max_overlap_uniform_pair(
-        rng.random("bmatch", "B"), rng.random("bmatch", "B", "accept"), s1, 2 * s1, s2, 2 * s2
-    )
-    lp1 = solve_lp_ent(nu, nv, w, b1)
+    r1 = _plip_mwbm(w, opt1, s1, rng)
+    b2 = uniform_partner(r1.b_reg, rng.random("bmatch", "B", "accept"), s1, 2 * s1, s2, 2 * s2)
     lp2 = solve_lp_ent(nu, nv, w2, b2)
+    t1 = r1.transcript
 
-    def padded(row):
-        slack = max(0.0, 1.0 - row.sum())
-        return np.concatenate([row, [slack]])
+    def padded(x, i):
+        return np.append(x[i], max(0.0, 1.0 - x[i].sum()))
 
-    p1, p2 = [], []
-    for i in range(nu):
-        u = rng.random("round", "p", i)
-        acc = rng.random("round", "p", i, "accept")
-        j1, j2 = couple_discrete(u, acc, padded(lp1.x[i]), padded(lp2.x[i]))
-        p1.append(j1 if j1 < nv else -1)
-        p2.append(j2 if j2 < nv else -1)
-    c1: list = [[] for _ in range(nv)]
-    c2: list = [[] for _ in range(nv)]
-    for i in range(nu):
-        if p1[i] >= 0:
-            c1[p1[i]].append(i)
-        if p2[i] >= 0:
-            c2[p2[i]].append(i)
-    m1, m2 = [], []
-    q_diff = 0
-    for j in range(nv):
-        if not c1[j] and not c2[j]:
-            continue
-        u = rng.random("round", "q", j)
-        acc = rng.random("round", "q", j, "accept")
-        if c1[j] and c2[j]:
-            rows = sorted(set(c1[j]) | set(c2[j]))
-            pmf1 = np.array([1.0 / len(c1[j]) if r in c1[j] else 0.0 for r in rows])
-            pmf2 = np.array([1.0 / len(c2[j]) if r in c2[j] else 0.0 for r in rows])
-            k1, k2 = couple_discrete(u, acc, pmf1, pmf2)
-            m1.append((rows[k1], j))
-            m2.append((rows[k2], j))
-            if rows[k1] != rows[k2]:
-                q_diff += 1
-        elif c1[j]:
-            m1.append((c1[j][int(u * len(c1[j])) % len(c1[j])], j))
-            q_diff += 1
-        else:
-            m2.append((c2[j][int(u * len(c2[j])) % len(c2[j])], j))
-            q_diff += 1
-    p_diff = sum(1 for a, bb in zip(p1, p2) if a != bb)
+    p2 = []
+    for i, j in enumerate(t1.p):
+        k = discrete_partner(j if j >= 0 else nv, rng.random("round", "p", i, "accept"),
+                             padded(r1.lp.x, i), padded(lp2.x, i))
+        p2.append(k if k < nv else -1)
+
+    def pick(j, rows):
+        if not t1.candidates[j]:
+            return rows[rng.randint(len(rows), "round", "q", j)]
+        pmf1, pmf2 = np.zeros(nu), np.zeros(nu)
+        pmf1[list(t1.candidates[j])] = 1.0
+        pmf2[rows] = 1.0
+        return discrete_partner(t1.q[j], rng.random("round", "q", j, "accept"), pmf1, pmf2)
+
+    t2 = _choose_columns(p2, nv, pick)
     return {
-        "matching1": tuple(sorted(m1)),
-        "matching2": tuple(sorted(m2)),
-        "b1": b1,
+        "matching1": t1.matching,
+        "matching2": t2.matching,
+        "b1": r1.b_reg,
         "b2": b2,
-        "b_equal": b1 == b2,
-        "p1": tuple(p1),
-        "p2": tuple(p2),
-        "candidates1": tuple(tuple(c) for c in c1),
-        "candidates2": tuple(tuple(c) for c in c2),
-        "p_diff": p_diff,
-        "q_diff": q_diff,
-        "lp1": lp1,
+        "b_equal": r1.b_reg == b2,
+        "p1": t1.p,
+        "p2": t2.p,
+        "candidates1": t1.candidates,
+        "candidates2": t2.candidates,
+        "p_diff": sum(a != b for a, b in zip(t1.p, t2.p)),
+        "q_diff": sum(a != b for a, b in zip(t1.q, t2.q)),
+        "lp1": r1.lp,
         "lp2": lp2,
     }

@@ -8,9 +8,11 @@ concatenates the walks.  Once the remaining distance drops below 1/gamma it
 falls back to an exact breadth-first-search path.
 
 At practical input sizes the epsilon-calibrated gamma makes the base case
-fire immediately (the sampled 1/gamma exceeds any possible distance), so a
-``gamma_override`` hook exists to exercise the recursive branch in tests
-and experiments; overridden gammas are outside the calibrated regime.
+fire immediately (the sampled 1/gamma exceeds any possible distance), so
+``rec`` takes gamma explicitly and ``sp`` has a ``gamma_override`` hook, to
+exercise the recursive branch in tests and experiments; any gamma in
+(0, 1/8) is accepted there, including gammas outside the calibrated
+regime.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadParams, LipgraphError, Unreachable
-from .graphs import DirectedGraph, Walk, WeightedMultigraph, _bfs_walk, check_vertex
+from .graphs import DirectedGraph, Walk, WeightedMultigraph, _bfs_walk, check_edge, check_vertex
 
 _INF = float("inf")
 
 ACTIVITY_K = 16
-MAX_CALIBRATED_GAMMA = 0.01
 
 
 @dataclass(frozen=True)
@@ -32,17 +33,12 @@ class RecParams:
     """Validated recursion parameters."""
 
     gamma: float
-    override: bool = False
 
     def __post_init__(self):
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise BadParams("gamma must be positive and finite")
         if self.gamma >= 0.125:
             raise BadParams("gamma must be below 1/8 so the pivot window is nonempty")
-        if not self.override and self.gamma > MAX_CALIBRATED_GAMMA:
-            raise BadParams(
-                f"gamma={self.gamma} above calibrated range; pass override for test-scale runs"
-            )
 
 
 @dataclass
@@ -131,6 +127,7 @@ def pivot_set(g, s: int, t: int, d: float, l: float) -> list:
     Works on both graph types (directed distances for directed graphs).
     """
     view = _view(g)
+    s, t = check_vertex(view, s), check_vertex(view, t)
     ds = view.dist_from(s)
     dt = view.dist_to(t)
     opt = ds[t]
@@ -185,12 +182,12 @@ def _rec(view, s, t, gamma, rng, key, depth, trace):
     return Walk(s, t, left.steps + right.steps)
 
 
-def rec(g, s: int, t: int, gamma: float, rng, *, override: bool = False, trace: RecTrace | None = None) -> Walk:
-    """Recursive pivot walk between s and t at an explicit gamma.
+def rec(g, s: int, t: int, gamma: float, rng, *, trace: RecTrace | None = None) -> Walk:
+    """Recursive pivot walk between s and t at an explicit gamma in (0, 1/8).
 
     Per-sample guarantee for every seed: len(walk) <= opt(s,t)^(1+14*gamma).
     """
-    RecParams(gamma, override)
+    RecParams(gamma)
     view = _view(g)
     s, t = check_vertex(view, s), check_vertex(view, t)
     if s == t:
@@ -222,7 +219,7 @@ def sp(
     if s == t:
         return Walk(s, t, ())
     if gamma_override is not None:
-        RecParams(gamma_override, override=True)
+        RecParams(gamma_override)
         gamma = gamma_override
     else:
         lo = 720.0 * math.log(view.n) / epsilon
@@ -233,6 +230,7 @@ def sp(
 def opt_through(g, s: int, t: int, v: int) -> float:
     """Length of the shortest s-t walk through v (inf when impossible)."""
     view = _view(g)
+    s, t, v = (check_vertex(view, x) for x in (s, t, v))
     ds = view.dist_from(s)
     if ds[t] == _INF:
         raise Unreachable(f"{t} unreachable from {s}")
@@ -242,6 +240,7 @@ def opt_through(g, s: int, t: int, v: int) -> float:
 def opt_through_edge(g, s: int, t: int, e: int) -> float:
     """Length of the shortest s-t walk traversing edge (or arc) e."""
     view = _view(g)
+    s, t, e = check_vertex(view, s), check_vertex(view, t), check_edge(g, e)
     ds = view.dist_from(s)
     dt = view.dist_to(t)
     if ds[t] == _INF:
@@ -260,8 +259,5 @@ def is_active(g, s: int, t: int, e: int, gamma: float) -> bool:
     k = 16; inactive calls sample their pivot from identical sets before
     and after contracting e.
     """
-    view = _view(g)
-    opt = view.dist_from(s)[t]
-    if opt == _INF:
-        raise Unreachable(f"{t} unreachable from {s}")
-    return opt_through_edge(g, s, t, e) <= (1.0 + ACTIVITY_K * gamma) * opt
+    through = opt_through_edge(g, s, t, e)  # checks s, t and e, and that t is reachable
+    return through <= (1.0 + ACTIVITY_K * gamma) * _view(g).dist_from(s)[t]

@@ -1,10 +1,15 @@
 """Shared-randomness couplings between perturbed runs.
 
-Paired runs draw from the same keyed stream.  For the one coordinate whose
-distribution differs between the runs, these helpers turn the shared draws
-into an explicit coupling: both marginals stay exact while the two values
-agree with the maximum possible probability (one minus the total variation
-distance between the two distributions).
+Paired runs draw from the same keyed stream.  The first run is the
+algorithm's single-sample run, draws unchanged.  For each coordinate whose
+distribution differs between the runs, the second run's value is the
+partner of the first run's under the rejection form of the maximal
+coupling (Thorisson 2000, ch. 1; Jacob, O'Leary & Atchade, JRSS-B 2020):
+keep x ~ p1 with probability min(1, p2(x)/p1(x)), else draw from the
+residual (p2 - p1)^+ normalized.  One extra keyed uniform decides both.
+Both marginals stay exact while the two values agree with the maximum
+possible probability (one minus the total variation distance between the
+two distributions).
 """
 
 from __future__ import annotations
@@ -23,66 +28,55 @@ def uniform_tv(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
     return 1.0 - overlap / max(len1, len2)
 
 
-def _leftover_icdf(u, lo, hi, o_lo, o_hi, shared_density, p_eq):
-    """Inverse CDF of a uniform's residual after removing the shared part.
+def _residual_icdf(v, lo, hi, o_lo, o_hi, shared):
+    """Inverse CDF of U[lo,hi) less density ``shared`` on [o_lo, o_hi) inside
+    it, renormalized: piecewise linear over [lo, o_lo], [o_lo, o_hi], [o_hi, hi]."""
+    d_out = 1.0 / (hi - lo)
+    d_in = d_out - shared
+    left = d_out * (o_lo - lo)
+    mid = left + d_in * (o_hi - o_lo)
+    q = v * (1.0 - shared * (o_hi - o_lo))
+    x_mid = o_lo + (q - left) / max(d_in, 1e-300)
+    return np.where(q < left, lo + q / d_out, np.where(q < mid, x_mid, o_hi + (q - mid) / d_out))
 
-    The residual density is 1/len off the overlap and 1/len - shared_density
-    on it, renormalized by 1 - p_eq.  Piecewise linear with three segments
-    [lo, o_lo], [o_lo, o_hi], [o_hi, hi], where the overlap window is
-    clamped into [lo, hi] (it degenerates when the intervals are disjoint).
+
+def uniform_partner(x, accept, lo1, hi1, lo2, hi2):
+    """The draw y ~ U[lo2,hi2) coupled to a draw x ~ U[lo1,hi1) of the first run.
+
+    Rejection form of the maximal coupling: y = x when accept < keep =
+    min(1, p2(x)/p1(x)), else y is drawn from the residual (p2 - p1)^+ at
+    v = (accept - keep) / (1 - keep), which given rejection is uniform and
+    independent of x.  x == y with probability exactly 1 - TV(U1, U2).
+    ``x`` and ``accept`` may be scalars or numpy arrays (broadcast
+    together); the interval ends are scalars.  A degenerate (zero-length)
+    interval is the point at its left end.
     """
-    length = hi - lo
-    o_lo = np.minimum(np.maximum(o_lo, lo), hi)
-    o_hi = np.minimum(np.maximum(o_hi, o_lo), hi)
-    d_out = 1.0 / length
-    d_in = d_out - shared_density
-    mass_left = d_out * (o_lo - lo)
-    mass_mid = d_in * (o_hi - o_lo)
-    total = 1.0 - p_eq
-    q = u * total
-    left_end = mass_left
-    mid_end = mass_left + mass_mid
-    x_left = lo + q / d_out
-    x_mid = o_lo + (q - left_end) / np.maximum(d_in, 1e-300)
-    x_right = o_hi + (q - mid_end) / d_out
-    return np.where(q <= left_end, x_left, np.where(q <= mid_end, x_mid, x_right))
+    x, accept = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(accept, dtype=float))
+    len1, len2 = hi1 - lo1, hi2 - lo2
+    o_lo, o_hi = max(lo1, lo2), min(hi1, hi2)
+    if len1 <= 0 or o_hi <= o_lo:  # a point, or disjoint: y never equals x
+        y = lo2 + accept * max(len2, 0.0)
+    else:
+        keep = np.where((o_lo <= x) & (x < o_hi), min(1.0, len1 / len2), 0.0)
+        y = x.copy()
+        rejected = accept >= keep  # only these have a v
+        v = (accept[rejected] - keep[rejected]) / (1.0 - keep[rejected])
+        y[rejected] = _residual_icdf(v, lo2, hi2, o_lo, o_hi, 1.0 / max(len1, len2))
+    return float(y) if y.ndim == 0 else y
 
 
 def max_overlap_uniform_pair(u, accept, lo1, hi1, lo2, hi2):
     """Couple U[lo1,hi1) and U[lo2,hi2) with maximal agreement probability.
 
-    ``u`` positions the draw, ``accept`` selects the shared branch.  Both
-    may be scalars or numpy arrays (broadcast together).  Returns (x, y)
-    with exact marginals; x == y happens with probability exactly
-    1 - TV(U1, U2).  Degenerate (zero-length) intervals collapse to their
-    left endpoint.
+    ``u`` positions the first draw x = lo1 + u (hi1 - lo1), ``accept``
+    decides its partner (see :func:`uniform_partner`).  Both may be scalars
+    or numpy arrays (broadcast together).  Returns (x, y) with exact
+    marginals; x == y happens with probability exactly 1 - TV(U1, U2).
     """
-    u = np.asarray(u, dtype=float)
-    accept = np.asarray(accept, dtype=float)
-    len1 = hi1 - lo1
-    len2 = hi2 - lo2
-    scalar = u.ndim == 0 and np.ndim(lo1) == 0 and np.ndim(lo2) == 0
-
-    if np.ndim(len1) == 0 and np.ndim(len2) == 0 and (len1 <= 0 or len2 <= 0):
-        x = lo1 + u * max(len1, 0.0)
-        y = lo2 + u * max(len2, 0.0)
-        return (float(x), float(y)) if scalar else (x, y)
-
-    o_lo = np.maximum(lo1, lo2)
-    o_hi = np.minimum(hi1, hi2)
-    overlap = np.maximum(0.0, o_hi - o_lo)
-    shared_density = 1.0 / np.maximum(len1, len2)
-    p_eq = overlap * shared_density
-
-    common = o_lo + u * overlap
-    x_rest = _leftover_icdf(u, lo1, hi1, o_lo, np.maximum(o_hi, o_lo), shared_density, p_eq)
-    y_rest = _leftover_icdf(u, lo2, hi2, o_lo, np.maximum(o_hi, o_lo), shared_density, p_eq)
-    take_common = accept < p_eq
-    x = np.where(take_common, common, x_rest)
-    y = np.where(take_common, common, y_rest)
-    if scalar:
-        return float(x), float(y)
-    return x, y
+    u, accept = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(accept, dtype=float))
+    x = lo1 + u * max(hi1 - lo1, 0.0)
+    y = uniform_partner(x, accept, lo1, hi1, lo2, hi2)
+    return (float(x), y) if x.ndim == 0 else (x, y)
 
 
 def shift_wrap(x, frac):
@@ -99,28 +93,32 @@ def shift_wrap(x, frac):
     return out
 
 
-def couple_discrete(u: float, accept: float, pmf1, pmf2):
-    """Maximal coupling of two discrete distributions over range(len(pmf)).
+def discrete_partner(i: int, accept: float, pmf1, pmf2) -> int:
+    """The index j ~ pmf2 coupled to an index i ~ pmf1 of the first run.
 
-    pmf1 and pmf2 are sequences of probabilities over the same index set.
-    Returns (i, j) with exact marginals and i == j with probability
-    sum_k min(pmf1[k], pmf2[k]).
+    pmf1 and pmf2 are weights over range(len(pmf)), each normalized here.
+    The rejection rule of :func:`uniform_partner`: j = i when accept <
+    min(1, pmf2[i]/pmf1[i]), else j is drawn from the residual
+    (pmf2 - pmf1)^+.  i == j with probability sum_k min(pmf1[k], pmf2[k]).
     """
     p1 = np.asarray(pmf1, dtype=float)
     p2 = np.asarray(pmf2, dtype=float)
-    common = np.minimum(p1, p2)
-    p_eq = float(common.sum())
-    if accept < p_eq:
-        k = _icdf_discrete(u, common / p_eq)
-        return k, k
-    rest1 = p1 - common
-    rest2 = p2 - common
-    s1, s2 = rest1.sum(), rest2.sum()
-    if s1 <= 0 or s2 <= 0:
-        # distributions identical; accept branch covers everything
-        k = _icdf_discrete(u, p1)
-        return k, k
-    return _icdf_discrete(u, rest1 / s1), _icdf_discrete(u, rest2 / s2)
+    p1, p2 = p1 / p1.sum(), p2 / p2.sum()
+    keep = min(1.0, p2[i] / p1[i])
+    if accept < keep:
+        return int(i)
+    return _icdf_discrete((accept - keep) / (1.0 - keep), np.maximum(p2 - p1, 0.0))
+
+
+def couple_discrete(u: float, accept: float, pmf1, pmf2):
+    """Maximal coupling of two discrete distributions over range(len(pmf)).
+
+    ``u`` draws i from pmf1 by inverse CDF, ``accept`` its partner j (see
+    :func:`discrete_partner`).  Returns (i, j) with exact marginals and
+    i == j with probability sum_k min(pmf1[k], pmf2[k]).
+    """
+    i = _icdf_discrete(u, np.asarray(pmf1, dtype=float))
+    return i, discrete_partner(i, accept, pmf1, pmf2)
 
 
 def _icdf_discrete(u: float, pmf: np.ndarray) -> int:

@@ -207,11 +207,19 @@ def gen_instance(kind: str, params: dict | None, seed: int):
 # algorithm adapters
 
 
-Algorithm = namedtuple("Algorithm", "run value bound pair multiset", defaults=(attrgetter("multiset"),))
+Algorithm = namedtuple("Algorithm", "run value bound pair violates multiset", defaults=(attrgetter("multiset"),))
 
 
 def _multisets(*outs):
     return tuple(out.multiset for out in outs)
+
+
+def _over_value(val, opt, guarantee) -> bool:
+    return val > guarantee * opt + 1e-9
+
+
+def _ratio(val, opt) -> float:
+    return val / opt if opt > 0 else (1.0 if val == 0 else math.inf)
 
 
 def _algorithm(alg: str, g, point: dict) -> Algorithm:
@@ -223,25 +231,29 @@ def _algorithm(alg: str, g, point: dict) -> Algorithm:
     optimum with the guarantee column's value.  ``pair(w, f, delta,
     stream)`` returns the multisets of a coupled pair of runs on w and on w
     with edge f moved by delta (down for mwm); sp-unweighted has none.
-    Estimators never call ``bound``, the only exact solve.  Cores trust
-    their weights and edge ids: the callers apply the rules.
+    ``violates(value, opt, guarantee)`` is the per-sample guarantee's test,
+    None where the guarantee holds only in expectation.  Estimators never
+    call ``bound``, the only exact solve.  Cores trust their weights and
+    edge ids: the callers apply the rules.  Defaults are resolved into
+    ``point``, a dict of the caller's own: mwm's alpha is 2 + epsilon.
     """
     if alg == "mst":
         eps = point["epsilon"]
         return Algorithm(lambda w, rs: _lip_mst(g, w, eps, rs).tree, lambda out, w: out.weight(w),
                          lambda w: (_kruskal(g, w).weight(w), 1.0 + eps),
-                         lambda w, f, d, rs: _multisets(*_coupled_lip_mst(g, w, f, d, eps, rs)))
+                         lambda w, f, d, rs: _multisets(*_coupled_lip_mst(g, w, f, d, eps, rs)), _over_value)
     if alg == "pmst":
         eps = point["epsilon"]
         return Algorithm(lambda w, rs: _plip_mst(g, w, eps, rs).tree, lambda out, w: out.weight(w),
                          lambda w: (_kruskal(g, w).weight(w), 1.0 + eps),
-                         lambda w, f, d, rs: _multisets(*(r.tree for r in _coupled_plip_mst(g, w, f, d, eps, rs))))
+                         lambda w, f, d, rs: _multisets(*(r.tree for r in _coupled_plip_mst(g, w, f, d, eps, rs))),
+                         _over_value)
     if alg in ("sp", "sp-unweighted"):
         eps, s, t = point["epsilon"], check_vertex(g, point["source"]), check_vertex(g, point["target"])
         if alg == "sp":
             return Algorithm(lambda w, rs: _lip_sp(g, w, s, t, eps, rs), lambda out, w: out.weighted_length(w),
                              lambda w: (_dijkstra(g.adjacency, w, s)[0][t], 1.0 + eps),
-                             lambda w, f, d, rs: _multisets(*_coupled_lip_sp(g, w, s, t, f, d, eps, rs)))
+                             lambda w, f, d, rs: _multisets(*_coupled_lip_sp(g, w, s, t, f, d, eps, rs)), _over_value)
         override = point.get("gamma_override")
 
         def bound(w):
@@ -251,14 +263,17 @@ def _algorithm(alg: str, g, point: dict) -> Algorithm:
             return opt, float(opt) ** (1.0 + 14.0 * override) / opt if opt > 0 else 1.0
 
         return Algorithm(lambda w, rs: sp(g, s, t, eps, rs, gamma_override=override),
-                         lambda out, w: len(out), bound, None)
+                         lambda out, w: len(out), bound, None,
+                         lambda val, opt, guarantee: _ratio(val, opt) > guarantee + 1e-9)
     if alg == "mwm":
+        if point.get("alpha") is None:
+            point["alpha"] = 2.0 + point["epsilon"]
         alpha = point["alpha"]
         if not 2 < alpha < math.inf:  # checked here too: bound() divides by alpha before any run
             raise BadParams("alpha must exceed 2 and be finite")
         return Algorithm(lambda w, rs: _lip_mwm(g, w, alpha, rs), lambda out, w: out.weight(w),
                          lambda w: (exact_max_weight_matching(g, w)[1], 1.0 / (4.0 * alpha)),
-                         lambda w, f, d, rs: _multisets(*_coupled_lip_mwm(g, w, f, d, alpha, rs)[:2]))
+                         lambda w, f, d, rs: _multisets(*_coupled_lip_mwm(g, w, f, d, alpha, rs)[:2]), None)
     if alg == "bmatch":
         eps, nv = point["epsilon"], g[1]
 
@@ -270,7 +285,7 @@ def _algorithm(alg: str, g, point: dict) -> Algorithm:
             return cells(out["matching1"]), cells(out["matching2"])
 
         return Algorithm(lambda w, rs: plip_mwbm(*g, w, eps, rs), lambda out, w: out.weight(w),
-                         lambda w: (_hungarian(w)[1], 0.5 - eps), pair, lambda out: cells(out.matching))
+                         lambda w: (_hungarian(w)[1], 0.5 - eps), pair, None, lambda out: cells(out.matching))
     raise BadParams(f"unknown algorithm {alg!r}")
 
 
@@ -475,8 +490,7 @@ def _point_row(config: ExperimentConfig, point: dict) -> dict:
     w = check_weights(None if bipartite else inst.graph, inst.weights)
     alg, g = ("bmatch", w.shape) if bipartite else (config.algorithm, inst.graph)
     n, m = w.shape if bipartite else (g.n, g.m)
-    if alg == "mwm" and point.get("alpha") is None:
-        point = dict(point, alpha=2.0 + point["epsilon"])
+    point = dict(point)
     algo = _algorithm(alg, g, point)
     opt, guarantee = algo.bound(w)
     base = RandomStream(seed)
@@ -484,12 +498,9 @@ def _point_row(config: ExperimentConfig, point: dict) -> dict:
     for k in range(trials):
         out = algo.run(w, base.sub("trial", k))
         val = algo.value(out, w)
-        ratio = val / opt if opt > 0 else (1.0 if val == 0 else math.inf)
-        ratios.append(ratio)
-        if alg == "sp-unweighted":
-            violations += ratio > guarantee + 1e-9
-        elif alg in ("mst", "pmst", "sp"):
-            violations += val > guarantee * opt + 1e-9
+        ratios.append(_ratio(val, opt))
+        if algo.violates is not None:
+            violations += algo.violates(val, opt, guarantee)
         if config.check:
             out.validate(g)
     row = {
@@ -508,12 +519,12 @@ def _point_row(config: ExperimentConfig, point: dict) -> dict:
         "ratio_mean": float(np.mean(ratios)),
         "ratio_max": float(np.max(ratios)),
         "guarantee": guarantee,
-        "violations": None if alg in ("mwm", "bmatch") else violations,
+        "violations": None if algo.violates is None else violations,
     }
 
     est = null = None
     delta, edge = point.get("delta"), point.get("edge")
-    if alg == "sp-unweighted":
+    if algo.pair is None:
         if point.get("contract_edge") is not None:  # contraction rows stay unchecked
             est = estimate_contraction_sensitivity(
                 g, point["source"], point["target"], point["epsilon"], point["contract_edge"],

@@ -31,7 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from .contraction_sp import sp
-from .coupling import max_overlap_uniform_pair, shift_wrap
+from .coupling import shift_wrap, uniform_partner
 from .errors import BadParams, LipgraphError, MalformedWalk, Unreachable
 from .exact import _dijkstra
 from .graphs import DirectedGraph, Walk, WeightedMultigraph, _bfs_walk, check_edge, check_vertex, check_weights
@@ -194,9 +194,14 @@ def build_gadget(
     return _build_gadget_from(g, w, epsilon, *_sample_draws(g, epsilon, opt, rng))
 
 
+def _b_interval(g: WeightedMultigraph, epsilon: float, opt: float) -> tuple[float, float]:
+    """The interval [eps*opt/(12n), eps*opt/(6n)) that b is drawn from."""
+    return epsilon * opt / (12.0 * g.n), epsilon * opt / (6.0 * g.n)
+
+
 def _sample_draws(g: WeightedMultigraph, epsilon: float, opt: float, rng: RandomStream):
     """The keyed draws (b, x) of one run at s-t optimum opt."""
-    b = rng.uniform(epsilon * opt / (12.0 * g.n), epsilon * opt / (6.0 * g.n), "lipsp", "b")
+    b = rng.uniform(*_b_interval(g, epsilon, opt), "lipsp", "b")
     x = np.array([rng.random("lipsp", "x", e) for e in range(g.m)])
     return b, x
 
@@ -525,8 +530,9 @@ def coupled_rounding_st(
 ) -> CoupledRounding:
     """Couple the (b, x) draws of runs on w and w + delta*1_f.
 
-    b uses the maximal-overlap coupling of the two sampling intervals.
-    Conditioned on equal b, every x(e) with e != f is shared and x(f) is
+    (b1, x1) are :func:`lip_sp`'s draws.  b2 is the partner of b1 under the
+    maximal coupling of the two sampling intervals.  Conditioned on equal
+    b, every x(e) with e != f is shared and x(f) is
     passed through the wrap map x - delta/b (mod 1), which makes the
     rounded lengths satisfy: hat2(f) - hat1(f) = 1 exactly when
     x(f) <= delta/b, and all other lengths coincide.  Requires
@@ -546,14 +552,11 @@ def _coupled_rounding(g, w, s, t, f, delta, epsilon, rng):
     opt2 = _dijkstra(g.adjacency, w2, s)[0][t]
     if not (0 < opt1 < float("inf")) or not (0 < opt2 < float("inf")):
         raise BadParams("coupled rounding needs positive finite optima")
-    if delta > epsilon * opt1 / (12.0 * g.n):
+    lo1, hi1 = _b_interval(g, epsilon, opt1)
+    if delta > lo1:
         raise BadParams("delta too large: must not exceed eps*opt/(12 n)")
-    lo1, hi1 = epsilon * opt1 / (12.0 * g.n), epsilon * opt1 / (6.0 * g.n)
-    lo2, hi2 = epsilon * opt2 / (12.0 * g.n), epsilon * opt2 / (6.0 * g.n)
-    b1, b2 = max_overlap_uniform_pair(
-        rng.random("lipsp", "b"), rng.random("lipsp", "b", "accept"), lo1, hi1, lo2, hi2
-    )
-    x1 = np.array([rng.random("lipsp", "x", e) for e in range(g.m)])
+    b1, x1 = _sample_draws(g, epsilon, opt1, rng)
+    b2 = uniform_partner(b1, rng.random("lipsp", "b", "accept"), lo1, hi1, *_b_interval(g, epsilon, opt2))
     x2 = x1.copy()
     if b1 == b2:
         x2[f] = shift_wrap(x1[f], delta / b1)

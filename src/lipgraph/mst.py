@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import max_overlap_uniform_pair
+from .coupling import uniform_partner
 from .errors import BadParams
 from .exact import _kruskal
 from .graphs import SpanningTree, WeightedMultigraph, check_edge, check_weights
@@ -72,9 +72,10 @@ def coupled_lip_mst_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly sample hat weights for w and w + delta*1_f from shared draws.
 
-    All coordinates except f reuse the identical draw.  Coordinate f uses
-    the maximal-overlap coupling of its two sampling intervals, so the two
-    sampled values differ with probability exactly
+    The first vector is :func:`sample_hat_weights`'.  All coordinates
+    except f reuse the identical draw; the second run's coordinate f is the
+    partner of the first's under the maximal coupling of its two sampling
+    intervals, so the two sampled values differ with probability exactly
     TV = (1+eps) * delta / (eps * (w(f)+delta)).
     """
     return _coupled_weights(g, check_weights(g, w), check_edge(g, f), delta, epsilon, rng)
@@ -83,10 +84,10 @@ def coupled_lip_mst_weights(
 def _coupled_weights(g, w, f, delta, epsilon, rng):
     if not 0 < delta < np.inf:
         raise BadParams("delta must be positive and finite")
-    hat1, u = _hat(g, w, epsilon, rng)
+    hat1, _ = _hat(g, w, epsilon, rng)
     hat2 = hat1.copy()
-    hat1[f], hat2[f] = max_overlap_uniform_pair(
-        u[f], rng.random("w", f, "accept"),
+    hat2[f] = uniform_partner(
+        hat1[f], rng.random("w", f, "accept"),
         w[f], (1.0 + epsilon) * w[f], w[f] + delta, (1.0 + epsilon) * (w[f] + delta),
     )
     return hat1, hat2
@@ -116,15 +117,29 @@ def plip_mst(g: WeightedMultigraph, w, epsilon: float, rng: RandomStream) -> Pli
 
 
 def _plip_mst(g, w, epsilon, rng):
+    base, scale = _spread_scale(g, w, epsilon)
+    if scale == 0.0:
+        return PlipMstResult(tree=base, b=0.0, hat_weights=w.copy(), zero_optimum=True)
+    b, u = _spread_draws(g, scale, rng)
+    return _plip_result(g, w + b * u, b)
+
+
+def _spread_scale(g, w, epsilon):
+    """The exact MST of w and the right end eps*opt/(n-1) of b's interval
+    (0 when opt is)."""
     if not 0 < epsilon < np.inf:
         raise BadParams("epsilon must be positive and finite")
     base = _kruskal(g, w)
     opt = base.weight(w)
-    if opt == 0.0:
-        return PlipMstResult(tree=base, b=0.0, hat_weights=w.copy(), zero_optimum=True)
-    scale = epsilon * opt / (g.n - 1)
-    b = rng.uniform(0.5 * scale, scale, "b")
-    hat = w + b * _draws(g, rng)
+    return base, epsilon * opt / (g.n - 1) if opt else 0.0
+
+
+def _spread_draws(g, scale, rng):
+    """The keyed draws of one run: b ~ U[scale/2, scale) and the per-edge u."""
+    return rng.uniform(0.5 * scale, scale, "b"), _draws(g, rng)
+
+
+def _plip_result(g, hat, b):
     return PlipMstResult(tree=_kruskal(g, hat), b=b, hat_weights=hat)
 
 
@@ -133,35 +148,29 @@ def coupled_plip_mst(
 ) -> tuple[PlipMstResult, PlipMstResult]:
     """One coupled pair of additive-noise MST runs for (w, w + delta*1_f).
 
-    The spread b is coupled with maximal overlap across the two (slightly
-    different) sampling intervals; conditioned on equal b, coordinate f is
-    coupled with maximal overlap across its shifted interval and all other
-    coordinates reuse identical draws.
+    The first run is :func:`plip_mst`'s.  The second run's spread b is the
+    partner of the first's across the two (slightly different) sampling
+    intervals; conditioned on equal b, coordinate f is the partner of the
+    first run's across its shifted interval and all other coordinates reuse
+    identical draws.
     """
     return _coupled_plip_mst(g, check_weights(g, w), check_edge(g, f), delta, epsilon, rng)
 
 
 def _coupled_plip_mst(g, w, f, delta, epsilon, rng):
-    if not (0 < delta < np.inf and 0 < epsilon < np.inf):
-        raise BadParams("delta and epsilon must be positive and finite")
+    if not 0 < delta < np.inf:
+        raise BadParams("delta must be positive and finite")
     w2 = w.copy()
     w2[f] += delta
-    opt1 = _kruskal(g, w).weight(w)
-    opt2 = _kruskal(g, w2).weight(w2)
-    if opt1 == 0.0 or opt2 == 0.0:
+    s1, s2 = _spread_scale(g, w, epsilon)[1], _spread_scale(g, w2, epsilon)[1]
+    if s1 == 0.0 or s2 == 0.0:
         raise BadParams("coupled runs need positive optimum on both sides")
-    s1 = epsilon * opt1 / (g.n - 1)
-    s2 = epsilon * opt2 / (g.n - 1)
-    b1, b2 = max_overlap_uniform_pair(
-        rng.random("b"), rng.random("b", "accept"), 0.5 * s1, s1, 0.5 * s2, s2
-    )
-    u = _draws(g, rng)
+    b1, u = _spread_draws(g, s1, rng)
+    b2 = uniform_partner(b1, rng.random("b", "accept"), 0.5 * s1, s1, 0.5 * s2, s2)
     hat1 = w + b1 * u
     hat2 = w2 + b2 * u
     if b1 == b2:
-        hat1[f], hat2[f] = max_overlap_uniform_pair(
-            u[f], rng.random("w", f, "accept"), w[f], w[f] + b1, w[f] + delta, w[f] + delta + b1
+        hat2[f] = uniform_partner(
+            hat1[f], rng.random("w", f, "accept"), w[f], w[f] + b1, w[f] + delta, w[f] + delta + b1
         )
-    r1 = PlipMstResult(tree=_kruskal(g, hat1), b=b1, hat_weights=hat1)
-    r2 = PlipMstResult(tree=_kruskal(g, hat2), b=b2, hat_weights=hat2)
-    return r1, r2
+    return _plip_result(g, hat1, b1), _plip_result(g, hat2, b2)

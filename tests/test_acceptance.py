@@ -215,7 +215,7 @@ def test_criterion_04_rec_validity_and_pivot_uniformity():
         assert opt > 1.0 / gamma
         bound = opt ** (1.0 + 14.0 * gamma)
         for seed in range(2500):
-            walk = rec(g, s, t, gamma, base.sub("c4", kind, size, seed), override=True)
+            walk = rec(g, s, t, gamma, base.sub("c4", kind, size, seed))
             walk.validate(g)
             assert len(walk) <= bound
             walks += 1

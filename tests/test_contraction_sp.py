@@ -45,25 +45,23 @@ def pendant_instance(length, mid, depth):
 
 def test_rec_params_validation():
     RecParams(0.005)
-    RecParams(0.1, override=True)
+    RecParams(0.1)  # test-scale gammas above the calibrated range are accepted
     with pytest.raises(BadParams):
-        RecParams(0.05)  # above calibrated range without override
+        RecParams(0.2)  # pivot window empty
     with pytest.raises(BadParams):
-        RecParams(0.2, override=True)  # pivot window empty
-    with pytest.raises(BadParams):
-        RecParams(-1.0, override=True)
+        RecParams(-1.0)
 
 
 def test_base_case_returns_exact_path():
     g = path_graph(8)
-    walk = rec(g, 0, 8, 0.1, RandomStream(0), override=True)
+    walk = rec(g, 0, 8, 0.1, RandomStream(0))
     walk.validate(g)
     assert len(walk) == 8  # 1/gamma = 10 >= 8: exact
 
 
 def test_cycle16_override_is_base_case():
     g = WeightedMultigraph(16, tuple((i, (i + 1) % 16) for i in range(16)))
-    walk = rec(g, 0, 8, 0.05, RandomStream(3), override=True)
+    walk = rec(g, 0, 8, 0.05, RandomStream(3))
     assert len(walk) == 8
 
 
@@ -99,7 +97,7 @@ def test_recursion_walks_valid_and_bounded():
         bound = opt ** (1 + 14 * gamma)
         for seed in range(200):
             trace = RecTrace()
-            walk = rec(g, s, t, gamma, RandomStream(seed), override=True, trace=trace)
+            walk = rec(g, s, t, gamma, RandomStream(seed), trace=trace)
             walk.validate(g)
             assert len(walk) <= bound
             assert trace.max_depth <= 4 * math.log(g.n) + 1
@@ -138,7 +136,7 @@ def test_sampled_pivots_near_optimal_and_shrinking():
     opt = ds[60]
     for seed in range(300):
         trace = RecTrace()
-        rec(g, 0, 60, gamma, RandomStream(seed), override=True, trace=trace)
+        rec(g, 0, 60, gamma, RandomStream(seed), trace=trace)
         for call in trace.calls:
             if call.base_case:
                 continue
@@ -169,7 +167,7 @@ def test_sample_pivot_matches_recursion_draw():
     g = path_graph(60)
     for seed in range(20):
         trace = RecTrace()
-        rec(g, 0, 60, 0.1, RandomStream(seed), override=True, trace=trace)
+        rec(g, 0, 60, 0.1, RandomStream(seed), trace=trace)
         call = trace.calls[0]
         again = sample_pivot(g, 0, 60, call.d, call.l, RandomStream(seed), *call.path)
         assert again == call.pivot
@@ -220,8 +218,8 @@ def test_detour_edge_contraction_leaves_walks_unchanged():
     res = contract_edge(g, e)
     s2, t2 = res.vertex_map[0], res.vertex_map[14]
     for seed in range(100):
-        w1 = rec(g, 0, 14, 0.1, RandomStream(seed), override=True)
-        w2 = rec(res.graph, s2, t2, 0.1, RandomStream(seed), override=True)
+        w1 = rec(g, 0, 14, 0.1, RandomStream(seed))
+        w2 = rec(res.graph, s2, t2, 0.1, RandomStream(seed))
         assert w1.multiset == res.multiset_to_original(w2.multiset)
 
 

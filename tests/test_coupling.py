@@ -69,8 +69,8 @@ def test_max_overlap_marginals_and_agreement(i1, i2):
 def test_max_overlap_scalar_mode():
     x, y = max_overlap_uniform_pair(0.3, 0.9, 0.0, 1.0, 0.5, 1.5)
     assert isinstance(x, float) and isinstance(y, float)
-    x2, y2 = max_overlap_uniform_pair(0.3, 0.0, 0.0, 1.0, 0.5, 1.5)
-    assert x2 == y2  # accept branch gives the shared value
+    x2, y2 = max_overlap_uniform_pair(0.7, 0.0, 0.0, 1.0, 0.5, 1.5)
+    assert x2 == y2 == 0.7  # a first draw inside the overlap is kept
 
 
 def test_max_overlap_identical_intervals_always_agree():
