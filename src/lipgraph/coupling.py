@@ -54,7 +54,7 @@ def uniform_partner(x, accept, lo1, hi1, lo2, hi2):
     x, accept = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(accept, dtype=float))
     len1, len2 = hi1 - lo1, hi2 - lo2
     o_lo, o_hi = max(lo1, lo2), min(hi1, hi2)
-    if len1 <= 0 or o_hi <= o_lo:  # a point, or disjoint: y never equals x
+    if len1 <= 0 or o_hi <= o_lo:  # a point, or no overlap: nothing to keep
         y = lo2 + accept * max(len2, 0.0)
     else:
         keep = np.where((o_lo <= x) & (x < o_hi), min(1.0, len1 / len2), 0.0)

@@ -150,6 +150,12 @@ def test_perturbed_row_reports_the_public_estimate(alg, tmp_path, monkeypatch):
     _assert_row_reports(row, _point_estimate(alg, row["metric"]))
 
 
+def test_mwm_estimate_defaults_alpha_to_two_plus_epsilon():
+    # the CLI's mwm --epsilon default, resolved by the harness table for every caller
+    by_epsilon = estimate_lipschitz("mwm", G.graph, G.weights, 3, 0.05, 30, 4, point={"epsilon": 0.1})
+    assert by_epsilon == _point_estimate("mwm", "weighted")
+
+
 def test_bipartite_row_takes_the_weighted_metric():
     # cell (i, j) is edge i * nV + j, so the weighted metric prices it at w[i, j]
     point = {"epsilon": 0.1}
