@@ -10,6 +10,7 @@ from lipgraph.coupling import (
     couple_discrete,
     max_overlap_uniform_pair,
     shift_wrap,
+    uniform_partner,
     uniform_tv,
 )
 from lipgraph.exact import dijkstra
@@ -36,16 +37,16 @@ def test_uniform_tv_formula():
     assert uniform_tv(0.0, 2.0, 0.5, 1.5) == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize(
-    "i1,i2",
-    [
-        ((1.0, 1.5), (1.1, 1.65)),  # multiplicative-noise shape
-        ((0.0, 1.0), (0.25, 1.25)),  # equal length shift
-        ((0.0, 1.0), (2.0, 3.5)),  # disjoint
-        ((0.0, 2.0), (0.5, 1.5)),  # nested
-        ((3.0, 3.0), (3.0, 4.0)),  # degenerate first interval
-    ],
-)
+INTERVALS = [
+    ((1.0, 1.5), (1.1, 1.65)),  # multiplicative-noise shape
+    ((0.0, 1.0), (0.25, 1.25)),  # equal length shift
+    ((0.0, 1.0), (2.0, 3.5)),  # disjoint
+    ((0.0, 2.0), (0.5, 1.5)),  # nested
+    ((3.0, 3.0), (3.0, 4.0)),  # degenerate first interval
+]
+
+
+@pytest.mark.parametrize("i1,i2", INTERVALS)
 def test_max_overlap_marginals_and_agreement(i1, i2):
     u, a = _draws(1)
     x, y = max_overlap_uniform_pair(u, a, i1[0], i1[1], i2[0], i2[1])
@@ -64,6 +65,25 @@ def test_max_overlap_marginals_and_agreement(i1, i2):
     freq = float(np.mean(x == y))
     sigma = np.sqrt(max(p_eq * (1 - p_eq), 1e-12) / N)
     assert abs(freq - p_eq) <= 5 * sigma + 1e-9
+
+
+@pytest.mark.parametrize("i1,i2", INTERVALS)
+def test_scalar_uniform_partner_is_the_array_path_elementwise(i1, i2):
+    u, a = _draws(3, 2000)
+    (lo1, hi1), (lo2, hi2) = i1, i2
+    # add the interval ends, the overlap ends and accepts at 0, at the keep
+    # probability (0.5 where it is 1: accepts lie in [0, 1)) and just below
+    # it and 1
+    ratio = (hi1 - lo1) / (hi2 - lo2)
+    keep = ratio if ratio < 1.0 else 0.5
+    edges = [lo1, max(lo1, lo2), min(hi1, hi2), np.nextafter(hi1, lo1)]
+    x = np.concatenate([lo1 + u * (hi1 - lo1), np.repeat(edges, 4)])
+    a = np.concatenate([a, np.tile([0.0, keep, np.nextafter(keep, 0.0), np.nextafter(1.0, 0.0)], 4)])
+    y = uniform_partner(x, a, lo1, hi1, lo2, hi2)
+    for xi, ai, yi in zip(x.tolist(), a.tolist(), y.tolist()):
+        scalar = uniform_partner(xi, ai, lo1, hi1, lo2, hi2)
+        assert type(scalar) is float
+        assert scalar.hex() == yi.hex()
 
 
 def test_max_overlap_scalar_mode():

@@ -206,6 +206,35 @@ def test_kruskal_optimal_on_random_connected(seed):
     assert tree.weight(w) == pytest.approx(min(enumerate_spanning_trees(g, w))[0])
 
 
+def _kruskal_by_sorted_keys(g, w):
+    """Kruskal scanning edges in sorted((w[e], e)) order: the tie rule that
+    every sampler's output depends on."""
+    comp = list(range(g.n))
+    chosen = []
+    for e in sorted(range(g.m), key=lambda e: (w[e], e)):
+        u, v = g.edges[e]
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            comp = [cv if c == cu else c for c in comp]
+            chosen.append(e)
+    return frozenset(chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kruskal_scans_edges_in_weight_then_id_order(data):
+    # few distinct weights, signed zeros and parallel edges make the scan
+    # order visible in the chosen edge set
+    n = data.draw(st.integers(2, 5))
+    edges = [(i, data.draw(st.integers(0, i - 1))) for i in range(1, n)]
+    edges += data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    data.draw(st.randoms(use_true_random=False)).shuffle(edges)
+    g = WeightedMultigraph(n, tuple(edges))
+    weight = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]) | st.floats(0, 3)
+    w = np.array([data.draw(weight) for _ in edges])
+    assert kruskal_mst(g, w).edges == _kruskal_by_sorted_keys(g, w)
+
+
 # --- matching ----------------------------------------------------------------
 
 

@@ -47,6 +47,23 @@ def test_class_membership_nested():
         assert b * alpha**i <= w < b * alpha ** (i + 1)
 
 
+@pytest.mark.parametrize("alpha", [2.1, 2.5, 3.0, 7.3])
+@pytest.mark.parametrize("b", [1.0, 1.37, "alpha"])
+def test_class_partition_is_class_index_at_boundaries(alpha, b):
+    b = alpha if b == "alpha" else b
+    w = []
+    for k in range(-6, 12):
+        t = b * alpha**k
+        w += [t, np.nextafter(t, 0.0), np.nextafter(t, np.inf)]
+    w += [0.0, 1e-300, 1e-310, 1e300]
+    expected: dict = {}
+    for e, we in enumerate(w):
+        if we > 0:
+            expected.setdefault(class_index(we, b, alpha), []).append(e)
+    assert class_partition(np.array(w), b, alpha) == expected
+    assert class_partition(w, b, alpha) == expected
+
+
 def test_single_edge_always_matched():
     g = WeightedMultigraph(2, ((0, 1),))
     for seed in range(50):

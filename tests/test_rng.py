@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 
 from lipgraph.rng import RandomStream
@@ -56,3 +59,64 @@ def test_generator_is_deterministic():
     a = RandomStream(11).generator("batch").random(5)
     b = RandomStream(11).generator("batch").random(5)
     assert np.array_equal(a, b)
+
+
+# --- guards for the keyed-draw bytes ------------------------------------------
+#
+# Every draw is blake2b (8-byte digest) of repr((seed, *prefix, *key)).  The
+# streams below cover a bare seed, string and int prefixes, a float prefix as
+# the harness builds with sub(epsilon), and the empty key.
+
+STREAMS = [
+    RandomStream(1),
+    RandomStream(0),
+    RandomStream(7).sub("coupled", 3),
+    RandomStream(-5).sub(0.01),
+    RandomStream(2**70).sub("ind", "q", 12, "attempt"),
+]
+KEYS = [(), ("w",), ("w", 3), ("lipsp", "x", 0), ("bmatch", "B", "accept"), (-1, 2**65, "a'b")]
+SCALAR_DIGEST = "0385d69ca547e6967213f2a8363613acbc312078e9a9ac75a888cc8b187a7e66"
+VECTOR_DIGEST = "6fc1e958be55f0cd4c6f7f4941e3b33258ff6aa809056d9fb53291540c64f3e4"
+PERMUTATION_DIGEST = "5b074e9ffc0fa87248a899d363ec727355e91276a9a080682bf0823f62bb0e07"
+
+
+def _fisher_yates(stream, n, *key):
+    """The per-swap Fisher-Yates that ``permutation`` has always run."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = stream.randint(i + 1, *key, i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def _digest(values, fmt):
+    return hashlib.sha256(struct.pack("<%d%s" % (len(values), fmt), *values)).hexdigest()
+
+
+def _vector(stream, n, *key):
+    return [stream.random(*key, i) for i in range(n)]
+
+
+def test_draws_of_an_empty_key_and_of_a_prefix_are_the_flat_key():
+    for s in STREAMS:
+        assert s.random() == RandomStream(s.seed).random(*s._prefix)
+        for key in KEYS:
+            assert s.random(*key) == RandomStream(s.seed).random(*s._prefix, *key)
+
+
+def test_permutation_is_the_per_swap_fisher_yates():
+    for s in STREAMS:
+        for n in (0, 1, 2, 3, 10, 37):
+            for key in KEYS:
+                assert s.permutation(n, *key) == _fisher_yates(s, n, *key)
+
+
+def test_pinned_draw_bytes():
+    """Any change to the bytes a draw hashes, or to how digests become
+    draws, changes these digests; such a change is declared."""
+    scalars = [s.random(*key) for s in STREAMS for key in KEYS]
+    vectors = [u for s in STREAMS for key in KEYS for u in _vector(s, 24, *key)]
+    perms = [p for s in STREAMS for key in KEYS for p in s.permutation(10, *key)]
+    assert _digest(scalars, "d") == SCALAR_DIGEST
+    assert _digest(vectors, "d") == VECTOR_DIGEST
+    assert _digest(perms, "q") == PERMUTATION_DIGEST
