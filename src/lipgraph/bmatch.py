@@ -206,7 +206,7 @@ def round_matching(x: np.ndarray, rng: RandomStream) -> RoundingTranscript:
     x = np.asarray(x, dtype=float)
     if np.any(x.sum(axis=1) > 1.0 + 1e-9):
         raise BadParams("row sums must not exceed 1")
-    p = [sample_row_choice(row, rng.random("round", "p", i)) for i, row in enumerate(x)]
+    p = [sample_row_choice(row, u) for row, u in zip(x, rng.randoms(len(x), "round", "p").tolist())]
     return _choose_columns(p, x.shape[1], lambda j, rows: rows[rng.randint(len(rows), "round", "q", j)])
 
 

@@ -47,13 +47,21 @@ def uniform_partner(x, accept, lo1, hi1, lo2, hi2):
     min(1, p2(x)/p1(x)), else y is drawn from the residual (p2 - p1)^+ at
     v = (accept - keep) / (1 - keep), which given rejection is uniform and
     independent of x.  x == y with probability exactly 1 - TV(U1, U2).
-    ``x`` and ``accept`` may be scalars or numpy arrays (broadcast
-    together); the interval ends are scalars.  A degenerate (zero-length)
-    interval is the point at its left end.
+    ``x`` and ``accept`` may be floats (a float is returned) or numpy
+    arrays (broadcast together); the interval ends are scalars.  A
+    degenerate (zero-length) interval is the point at its left end.
     """
-    x, accept = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(accept, dtype=float))
     len1, len2 = hi1 - lo1, hi2 - lo2
     o_lo, o_hi = max(lo1, lo2), min(hi1, hi2)
+    if isinstance(x, float) and isinstance(accept, float):  # the library's calls
+        if len1 <= 0 or o_hi <= o_lo:
+            return float(lo2 + accept * max(len2, 0.0))
+        keep = min(1.0, len1 / len2) if o_lo <= x < o_hi else 0.0
+        if accept < keep:
+            return float(x)
+        v = (accept - keep) / (1.0 - keep)
+        return float(_residual_icdf(v, lo2, hi2, o_lo, o_hi, 1.0 / max(len1, len2)))
+    x, accept = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(accept, dtype=float))
     if len1 <= 0 or o_hi <= o_lo:  # a point, or no overlap: nothing to keep
         y = lo2 + accept * max(len2, 0.0)
     else:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from .errors import DisconnectedGraph, TooLarge
 from .graphs import Matching, SpanningTree, Walk, WeightedMultigraph, check_vertex, check_weights, walk_back
 
@@ -61,7 +63,8 @@ def kruskal_mst(g: WeightedMultigraph, w) -> SpanningTree:
 
 
 def _kruskal(g, w):
-    order = sorted(range(g.m), key=lambda e: (w[e], e))
+    # a stable sort keeps ties in ascending edge id: the (w[e], e) order
+    order = np.argsort(w, kind="stable").tolist()
     parent = list(range(g.n))
 
     def find(x):

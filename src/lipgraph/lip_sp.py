@@ -202,7 +202,7 @@ def _b_interval(g: WeightedMultigraph, epsilon: float, opt: float) -> tuple[floa
 def _sample_draws(g: WeightedMultigraph, epsilon: float, opt: float, rng: RandomStream):
     """The keyed draws (b, x) of one run at s-t optimum opt."""
     b = rng.uniform(*_b_interval(g, epsilon, opt), "lipsp", "b")
-    x = np.array([rng.random("lipsp", "x", e) for e in range(g.m)])
+    x = rng.randoms(g.m, "lipsp", "x")
     return b, x
 
 

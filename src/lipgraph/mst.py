@@ -38,7 +38,7 @@ class PlipMstResult:
 
 def _draws(g, rng):
     """The per-edge uniforms u(e) = rng.random("w", e) that every variant shares."""
-    return np.array([rng.random("w", e) for e in range(g.m)])
+    return rng.randoms(g.m, "w")
 
 
 def _hat(g, w, epsilon, rng):

@@ -25,7 +25,11 @@ def class_index(weight: float, b: float, alpha: float) -> int:
     """Unique i with b * alpha^i <= weight < b * alpha^(i+1); weight > 0."""
     if weight <= 0:
         raise BadParams("class index undefined for zero weight")
-    i = math.floor(math.log(weight / b) / math.log(alpha))
+    return _class_index(weight, b, alpha, math.log(alpha))
+
+
+def _class_index(weight, b, alpha, log_alpha):
+    i = math.floor(math.log(weight / b) / log_alpha)
     # float-exact adjustment at class boundaries
     while b * alpha ** (i + 1) <= weight:
         i += 1
@@ -38,11 +42,11 @@ def class_partition(w, b: float, alpha: float) -> dict:
     """Map level i -> edge ids whose class index is exactly i (diagnostic)."""
     if not (1.0 <= b <= alpha):
         raise BadParams("b must lie in [1, alpha]")
+    log_alpha = math.log(alpha)
     out: dict = {}
-    for e, we in enumerate(np.asarray(w, dtype=float)):
-        if we <= 0:
-            continue
-        out.setdefault(class_index(we, b, alpha), []).append(e)
+    for e, we in enumerate(np.asarray(w, dtype=float).tolist()):
+        if we > 0:
+            out.setdefault(_class_index(we, b, alpha, log_alpha), []).append(e)
     return out
 
 

@@ -21,26 +21,55 @@ class RandomStream:
     Keys are tuples of ints/strings.  ``sub(*key)`` derives a child stream
     whose draws are disjoint from the parent's (the child prefix becomes
     part of every key).
+
+    A draw hashes the bytes of ``repr((seed, *prefix, *key))`` with 8-byte
+    blake2b.  The stream keeps a hash state that has absorbed the part of
+    that text its own base ``(seed, *prefix)`` fixes, so each draw copies the
+    state and feeds only the key's part.
     """
 
-    __slots__ = ("seed", "_prefix", "_base")
+    __slots__ = ("seed", "_prefix", "_base", "_state")
 
     def __init__(self, seed: int, prefix: tuple = ()):
         self.seed = int(seed)
         self._prefix = tuple(prefix)
         self._base = (self.seed,) + self._prefix
+        # "(seed, p1, ..., pk" of repr(base + key); the key's part follows
+        head = "(" + ", ".join(map(repr, self._base))
+        self._state = hashlib.blake2b(head.encode(), digest_size=8)
 
     def sub(self, *key) -> "RandomStream":
         return RandomStream(self.seed, self._prefix + key)
 
     def _bits(self, key: tuple) -> int:
         # flat concatenation: sub("a").random("b") == random("a", "b")
-        data = repr(self._base + key).encode()
-        return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+        if key:
+            tail = ", " + ", ".join(map(repr, key)) + ")"
+        else:  # repr of a one-element tuple keeps its comma
+            tail = ",)" if len(self._base) == 1 else ")"
+        h = self._state.copy()
+        h.update(tail.encode())
+        return int.from_bytes(h.digest(), "big")
+
+    def _digests(self, key: tuple, indices) -> bytes:
+        """The 8-byte digests of ``key + (i,)`` for each i in indices, back
+        to back; the key's part of the bytes is hashed once."""
+        h = self._state.copy()
+        h.update(("".join([", " + repr(k) for k in key]) + ", ").encode())
+        out = []
+        for i in indices:
+            c = h.copy()
+            c.update(b"%d)" % i)
+            out.append(c.digest())
+        return b"".join(out)
 
     def random(self, *key) -> float:
         """Uniform draw in [0, 1) addressed by key."""
         return self._bits(key) / _U64
+
+    def randoms(self, n: int, *key) -> np.ndarray:
+        """The vector ``[random(*key, i) for i in range(n)]``."""
+        return np.frombuffer(self._digests(key, range(n)), dtype=">u8") / _U64
 
     def uniform(self, lo: float, hi: float, *key) -> float:
         """Uniform draw in [lo, hi) addressed by key."""
@@ -53,10 +82,13 @@ class RandomStream:
         return self._bits(key) % n
 
     def permutation(self, n: int, *key) -> list[int]:
-        """Fisher-Yates permutation of range(n), one keyed draw per swap."""
+        """Fisher-Yates permutation of range(n): swap i takes
+        ``randint(i + 1, *key, i)``."""
         perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self._bits(key + (i,)) % (i + 1)
+        swaps = range(n - 1, 0, -1)
+        bits = np.frombuffer(self._digests(key, swaps), dtype=">u8").tolist()
+        for i, b in zip(swaps, bits):
+            j = b % (i + 1)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 

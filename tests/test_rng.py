@@ -2,6 +2,7 @@ import hashlib
 import struct
 
 import numpy as np
+from scipy import stats
 
 from lipgraph.rng import RandomStream
 
@@ -104,6 +105,15 @@ def test_draws_of_an_empty_key_and_of_a_prefix_are_the_flat_key():
             assert s.random(*key) == RandomStream(s.seed).random(*s._prefix, *key)
 
 
+def test_randoms_is_the_per_index_random():
+    for s in STREAMS:
+        for key in KEYS:
+            for n in (0, 1, 2, 24):
+                v = s.randoms(n, *key)
+                assert v.dtype == np.float64 and v.shape == (n,)
+                assert v.tolist() == _vector(s, n, *key)
+
+
 def test_permutation_is_the_per_swap_fisher_yates():
     for s in STREAMS:
         for n in (0, 1, 2, 3, 10, 37):
@@ -116,7 +126,31 @@ def test_pinned_draw_bytes():
     draws, changes these digests; such a change is declared."""
     scalars = [s.random(*key) for s in STREAMS for key in KEYS]
     vectors = [u for s in STREAMS for key in KEYS for u in _vector(s, 24, *key)]
+    blocks = [u for s in STREAMS for key in KEYS for u in s.randoms(24, *key).tolist()]
     perms = [p for s in STREAMS for key in KEYS for p in s.permutation(10, *key)]
     assert _digest(scalars, "d") == SCALAR_DIGEST
     assert _digest(vectors, "d") == VECTOR_DIGEST
+    assert _digest(blocks, "d") == VECTOR_DIGEST
     assert _digest(perms, "q") == PERMUTATION_DIGEST
+
+
+# --- statistical checks on the vector path ------------------------------------
+
+
+def test_randoms_are_uniform():
+    u = RandomStream(2024).randoms(20000, "uniformity")
+    assert np.all((0.0 <= u) & (u < 1.0))
+    assert stats.kstest(u, "uniform").pvalue > 1e-3
+    assert stats.chisquare(np.bincount((u * 50).astype(int), minlength=50)).pvalue > 1e-3
+
+
+def test_randoms_adjacent_indices_are_independent():
+    # pairs (u_i, u_i+1) from many short vectors, the length a sampler draws:
+    # uniform on the unit square and uncorrelated
+    s = RandomStream(2025).sub("adjacent")
+    v = np.array([s.randoms(20, "vec", k) for k in range(1000)])
+    a, b = v[:, 0::2].ravel(), v[:, 1::2].ravel()
+    cells = (a * 10).astype(int) * 10 + (b * 10).astype(int)
+    assert stats.chisquare(np.bincount(cells, minlength=100)).pvalue > 1e-3
+    lag1 = v[:, :-1].ravel(), v[:, 1:].ravel()
+    assert abs(np.corrcoef(*lag1)[0, 1]) < 4.0 / np.sqrt(lag1[0].size)
