@@ -15,6 +15,11 @@ import numpy as np
 _U64 = float(2**64)
 
 
+def _key_text(key: tuple) -> str:
+    """The part ", k1, ..., kn" that key adds to a tuple's repr."""
+    return "".join([", " + repr(k) for k in key])
+
+
 class RandomStream:
     """Addressable source of deterministic uniforms.
 
@@ -43,25 +48,25 @@ class RandomStream:
 
     def _bits(self, key: tuple) -> int:
         # flat concatenation: sub("a").random("b") == random("a", "b")
-        if key:
-            tail = ", " + ", ".join(map(repr, key)) + ")"
-        else:  # repr of a one-element tuple keeps its comma
-            tail = ",)" if len(self._base) == 1 else ")"
+        if not key and len(self._base) == 1:  # repr of a 1-tuple keeps its comma
+            tail = ",)"
+        else:
+            tail = _key_text(key) + ")"
         h = self._state.copy()
         h.update(tail.encode())
         return int.from_bytes(h.digest(), "big")
 
-    def _digests(self, key: tuple, indices) -> bytes:
-        """The 8-byte digests of ``key + (i,)`` for each i in indices, back
-        to back; the key's part of the bytes is hashed once."""
+    def _block(self, key: tuple, indices) -> np.ndarray:
+        """``_bits(key + (i,))`` for each i in indices, as uint64; the key's
+        part of the hashed text is fed once."""
         h = self._state.copy()
-        h.update(("".join([", " + repr(k) for k in key]) + ", ").encode())
+        h.update((_key_text(key) + ", ").encode())
         out = []
         for i in indices:
             c = h.copy()
             c.update(b"%d)" % i)
             out.append(c.digest())
-        return b"".join(out)
+        return np.frombuffer(b"".join(out), dtype=">u8")
 
     def random(self, *key) -> float:
         """Uniform draw in [0, 1) addressed by key."""
@@ -69,7 +74,7 @@ class RandomStream:
 
     def randoms(self, n: int, *key) -> np.ndarray:
         """The vector ``[random(*key, i) for i in range(n)]``."""
-        return np.frombuffer(self._digests(key, range(n)), dtype=">u8") / _U64
+        return self._block(key, range(n)) / _U64
 
     def uniform(self, lo: float, hi: float, *key) -> float:
         """Uniform draw in [lo, hi) addressed by key."""
@@ -86,8 +91,7 @@ class RandomStream:
         ``randint(i + 1, *key, i)``."""
         perm = list(range(n))
         swaps = range(n - 1, 0, -1)
-        bits = np.frombuffer(self._digests(key, swaps), dtype=">u8").tolist()
-        for i, b in zip(swaps, bits):
+        for i, b in zip(swaps, self._block(key, swaps).tolist()):
             j = b % (i + 1)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
